@@ -9,13 +9,13 @@ networks are exact at every length.
 
 import numpy as np
 
-from dfanet import TrainConfig, init_mlp, train
+from dfanet import TrainableMlp, TrainConfig, train
 from dfanet.experiments import gen_anbn_dataset
 
 train_data = gen_anbn_dataset((1, 5), count=2000, max_len=20, seed=0)
 test_data = gen_anbn_dataset((6, 10), count=2000, max_len=20, seed=1)
 
-model = init_mlp([train_data.inputs.shape[1], 32, 1], ["relu", "sigmoid"], seed=2)
+model = TrainableMlp([train_data.inputs.shape[1], 32, 1], ["relu", "sigmoid"], seed=2)
 train(model, train_data.inputs, train_data.labels, TrainConfig(epochs=200, loss="bce"))
 
 

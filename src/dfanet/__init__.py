@@ -48,10 +48,8 @@ from .nn import (
     TrainConfig,
     UnrolledNet,
     adam_step,
-    binarized_forward,
     forward,
     forward_batch,
-    init_mlp,
     loss_and_gradients,
     train,
 )
@@ -92,10 +90,8 @@ __all__ = [
     "TrainConfig",
     "UnrolledNet",
     "adam_step",
-    "binarized_forward",
     "forward",
     "forward_batch",
-    "init_mlp",
     "loss_and_gradients",
     "train",
 ]

@@ -11,9 +11,8 @@ import argparse
 import csv
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-
-from . import experiments
 from .compiler import (
     EnumerationBudgetError,
     DEFAULT_ENUMERATION_BUDGET,
@@ -26,9 +25,7 @@ from .compiler import (
     verify_exact,
     verify_sampled,
 )
-from .experiments import ExperimentReport
 from .formats import (
-    DfaDocument,
     DocumentError,
     export_dot,
     format_network_document,
@@ -36,31 +33,29 @@ from .formats import (
     parse_network_document,
 )
 
+if TYPE_CHECKING:
+    from .experiments import ExperimentReport
+
 USAGE_ERROR = 2
 MISMATCH_ERROR = 1
 
 COMPILE_TARGETS = ("unrolled", "transition", "binary", "embedding", "compressed")
-EXPERIMENT_NAMES = ("thm1", "lemma1", "lemma2", "thm2", "cor21", "thm3", "cor31")
+# protocol -> runner in dfanet.experiments, which only the experiment command imports
+EXPERIMENTS = dict(
+    thm1="run_theorem1", lemma1="run_lemma1", lemma2="run_lemma2", thm2="run_theorem2",
+    cor21="run_corollary21", thm3="run_theorem3", cor31="run_corollary31",
+)
 
 
-def _read_dfa(path: str) -> DfaDocument:
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc.strerror}", 1) from None
-    return parse_dfa_document(text)
-
-
-def _read_network(path: str):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc.strerror}", 1) from None
-    return parse_network_document(text)
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    doc = _read_dfa(args.dfa)
+    doc = parse_dfa_document(_read(args.dfa))
     dfa = doc.dfa
     if args.target in ("unrolled", "embedding", "compressed") and args.length is None:
         print("error: --length is required for this target", file=sys.stderr)
@@ -104,8 +99,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    net = _read_network(args.network)
-    doc = _read_dfa(args.dfa)
+    net = parse_network_document(_read(args.network))
+    doc = parse_dfa_document(_read(args.dfa))
     if args.sampled is not None:
         report = verify_sampled(net, doc.dfa, args.length, count=args.sampled, seed=args.seed)
         mode = "sampled"
@@ -164,18 +159,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if args.seeds < 2:
         print("error: --seeds must be at least 2 for summary statistics", file=sys.stderr)
         return USAGE_ERROR
-    seeds = tuple(range(args.seeds))
-    common = dict(seeds=seeds, jobs=args.jobs, progress=args.progress)
-    runners = {
-        "thm1": lambda: experiments.run_theorem1(**common),
-        "lemma1": lambda: experiments.run_lemma1(**common),
-        "lemma2": lambda: experiments.run_lemma2(**common),
-        "thm2": lambda: experiments.run_theorem2(**common),
-        "cor21": lambda: experiments.run_corollary21(**common),
-        "thm3": lambda: experiments.run_theorem3(**common),
-        "cor31": lambda: experiments.run_corollary31(**common),
-    }
-    result = runners[args.name]()
+    from . import experiments
+
+    runner = getattr(experiments, EXPERIMENTS[args.name])
+    result = runner(seeds=tuple(range(args.seeds)), jobs=args.jobs, progress=args.progress)
     reports = result if isinstance(result, list) else [result]
 
     out_dir = Path(args.out) if args.out else Path(".")
@@ -205,7 +192,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    doc = _read_dfa(args.dfa)
+    doc = parse_dfa_document(_read(args.dfa))
     rendered = export_dot(doc)
     if args.out:
         Path(args.out).write_text(rendered)
@@ -244,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_exp = sub.add_parser("experiment", help="run one experiment protocol")
-    p_exp.add_argument("name", choices=EXPERIMENT_NAMES)
+    p_exp.add_argument("name", choices=EXPERIMENTS)
     p_exp.add_argument("--seeds", type=int, default=5, help="number of seeds (0..N-1)")
     p_exp.add_argument("--out", default=None, help="output directory for CSV")
     p_exp.add_argument("--jobs", type=int, default=1, help="parallel seed workers")

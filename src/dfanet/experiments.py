@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -20,7 +21,6 @@ from scipy import stats as scipy_stats
 
 from .automata import (
     Dfa,
-    accepts_batch,
     make_mod_counter_dfa,
     make_parity_dfa,
     random_dfa,
@@ -33,9 +33,10 @@ from .compiler import (
     dfa_fingerprint,
     verify_exact,
 )
-from .encodings import binary_state_encoding, encode_strings
+from .encodings import StateEncoding, binary_state_encoding, encode_strings, one_hot_state_encoding
+from .network import NetworkSpec
 from .network import forward_batch as spec_forward_batch
-from .nn import TrainableMlp, TrainConfig, UnrolledNet, binarized_forward_batch, train
+from .nn import TrainableMlp, TrainConfig, UnrolledNet, train
 
 DEFAULT_SEEDS: tuple[int, ...] = (0, 1, 2, 3, 4)
 DEFAULT_SAMPLE_COUNT = 2000
@@ -126,19 +127,21 @@ def _make_report(
 # dataset generators
 
 
-def gen_dfa_dataset(dfa: Dfa, length: int, count: int, seed) -> Dataset:
-    """Uniform i.i.d. strings of ``length`` labeled by acceptance (0/1)."""
+def _uniform_dataset(
+    dfa: Dfa, length: int, count: int, seed, generator: str, table: np.ndarray
+) -> Dataset:
+    """Uniform i.i.d. strings of ``length``; a string's label is ``table[reached state]``."""
     if count < 1:
         raise ValueError("count must be positive")
     rng = np.random.default_rng(seed)
     strings = rng.integers(0, dfa.alphabet_size, size=(count, length))
     return Dataset(
         inputs=encode_strings(strings, dfa.alphabet_size),
-        labels=accepts_batch(dfa, strings).astype(float)[:, None],
+        labels=table[run_batch(dfa, strings)],
         length=length,
         alphabet_size=dfa.alphabet_size,
         provenance={
-            "generator": "uniform-accept",
+            "generator": generator,
             "dfa_sha256": dfa_fingerprint(dfa),
             "seed": seed,
             "count": count,
@@ -147,67 +150,39 @@ def gen_dfa_dataset(dfa: Dfa, length: int, count: int, seed) -> Dataset:
     )
 
 
+def gen_dfa_dataset(dfa: Dfa, length: int, count: int, seed) -> Dataset:
+    """Uniform i.i.d. strings of ``length`` labeled by acceptance (0/1)."""
+    accepting = np.zeros((dfa.state_count, 1))
+    accepting[list(dfa.accepting)] = 1.0
+    return _uniform_dataset(dfa, length, count, seed, "uniform-accept", accepting)
+
+
 def gen_dfa_state_dataset(dfa: Dfa, length: int, count: int, seed) -> Dataset:
     """Uniform i.i.d. strings labeled by the one-hot of the reached state."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    rng = np.random.default_rng(seed)
-    strings = rng.integers(0, dfa.alphabet_size, size=(count, length))
-    final = run_batch(dfa, strings)
+    return _uniform_dataset(dfa, length, count, seed, "uniform-state", np.eye(dfa.state_count))
+
+
+def _transition_pairs(dfa: Dfa, encoding: StateEncoding, generator: str) -> Dataset:
+    """All n*k pairs [state code; one-hot symbol] -> next state code, row i*k + j."""
+    n, k = dfa.state_count, dfa.alphabet_size
+    symbols = np.tile(np.eye(k), (n, 1))
     return Dataset(
-        inputs=encode_strings(strings, dfa.alphabet_size),
-        labels=np.eye(dfa.state_count)[final],
-        length=length,
-        alphabet_size=dfa.alphabet_size,
-        provenance={
-            "generator": "uniform-state",
-            "dfa_sha256": dfa_fingerprint(dfa),
-            "seed": seed,
-            "count": count,
-            "length": length,
-        },
+        inputs=np.concatenate([np.repeat(encoding.codes, k, axis=0), symbols], axis=1),
+        labels=encoding.codes[dfa.transitions.ravel()],
+        length=1,
+        alphabet_size=k,
+        provenance={"generator": generator, "dfa_sha256": dfa_fingerprint(dfa)},
     )
 
 
 def gen_transition_dataset(dfa: Dfa) -> Dataset:
     """All n*k one-hot pairs [e_state; u_symbol] -> one-hot next state."""
-    n, k = dfa.state_count, dfa.alphabet_size
-    inputs = np.zeros((n * k, n + k))
-    labels = np.zeros((n * k, n))
-    for i in range(n):
-        for j in range(k):
-            row = i * k + j
-            inputs[row, i] = 1.0
-            inputs[row, n + j] = 1.0
-            labels[row, int(dfa.transitions[i, j])] = 1.0
-    return Dataset(
-        inputs=inputs,
-        labels=labels,
-        length=1,
-        alphabet_size=k,
-        provenance={"generator": "transition-pairs", "dfa_sha256": dfa_fingerprint(dfa)},
-    )
+    return _transition_pairs(dfa, one_hot_state_encoding(dfa.state_count), "transition-pairs")
 
 
 def gen_binary_transition_dataset(dfa: Dfa) -> Dataset:
     """All n*k pairs [binary state code; one-hot symbol] -> next state code."""
-    n, k = dfa.state_count, dfa.alphabet_size
-    enc = binary_state_encoding(n)
-    inputs = np.zeros((n * k, enc.dim + k))
-    labels = np.zeros((n * k, enc.dim))
-    for i in range(n):
-        for j in range(k):
-            row = i * k + j
-            inputs[row, : enc.dim] = enc.codes[i]
-            inputs[row, enc.dim + j] = 1.0
-            labels[row] = enc.codes[int(dfa.transitions[i, j])]
-    return Dataset(
-        inputs=inputs,
-        labels=labels,
-        length=1,
-        alphabet_size=k,
-        provenance={"generator": "binary-transition-pairs", "dfa_sha256": dfa_fingerprint(dfa)},
-    )
+    return _transition_pairs(dfa, binary_state_encoding(dfa.state_count), "binary-transition-pairs")
 
 
 PAD_SYMBOL = 2  # alphabet for the counting task: a=0, b=1, PAD=2
@@ -306,13 +281,9 @@ def split_dataset(dataset: Dataset, train_fraction: float, seed) -> tuple[Datase
 
 # ---------------------------------------------------------------------------
 # per-seed workers (module level so seed sweeps can run in worker processes)
-
-
-def _progress_printer(label: str):
-    def callback(epoch: int, loss: float) -> None:
-        print(f"[{label}] epoch {epoch} loss {loss:.6f}", flush=True)
-
-    return callback
+#
+# Each worker takes the seed first and returns {metric: value}; every rng
+# stream it draws from is seeded (seed, tag, *grid key).
 
 
 def _binary_accuracy(outputs: np.ndarray, labels: np.ndarray) -> float:
@@ -324,142 +295,99 @@ def _argmax_accuracy(outputs: np.ndarray, labels: np.ndarray) -> float:
     return float((outputs.argmax(axis=1) == labels.argmax(axis=1)).mean())
 
 
-def _theorem1_seed(args: tuple) -> float:
-    length, seed, sample_count, epochs, hidden_width, progress = args
-    dfa = make_parity_dfa()
-    data = gen_dfa_dataset(dfa, length, sample_count, seed=(seed, _DATA, length))
-    train_part, eval_part = split_dataset(data, DEFAULT_TRAIN_FRACTION, seed=(seed, _SPLIT, length))
+def _fit(model: TrainableMlp | UnrolledNet, data: Dataset, loss: str, epochs: int, label) -> None:
+    """Full-batch Adam on ``data``; a ``label`` prints one tagged loss line per epoch."""
+
+    def report(epoch: int, value: float) -> None:
+        print(f"[{label}] epoch {epoch} loss {value:.6f}", flush=True)
+
+    config = TrainConfig(epochs=epochs, loss=loss)
+    train(model, data.inputs, data.labels, config, progress=report if label else None)
+
+
+def _fit_unrolled(
+    dfa, generator, key, heads, loss, length, samples, epochs, hidden_width, state_width, label
+) -> tuple[UnrolledNet, Dataset]:
+    """Train an UnrolledNet on the train split of ``generator``'s strings.
+
+    ``key`` is (seed, *grid key) and ``heads`` is (head_dims, head_activations).
+    Returns the model and the held-out split.
+    """
+    seed, *point = key
+    data = generator(dfa, length, samples, seed=(seed, _DATA, *point))
+    train_part, eval_part = split_dataset(data, DEFAULT_TRAIN_FRACTION, seed=(seed, _SPLIT, *point))
     model = UnrolledNet(
-        state_dim=DEFAULT_STATE_WIDTH,
-        alphabet_size=dfa.alphabet_size,
-        length=length,
-        start_state=dfa.start_state,
-        head_dims=[1],
-        head_activations=["sigmoid"],
-        seed=(seed, _INIT, length),
-        hidden_width=hidden_width,
+        state_width, dfa.alphabet_size, length, dfa.start_state, *heads,
+        seed=(seed, _INIT, *point), hidden_width=hidden_width,
     )
-    train(
-        model,
-        train_part.inputs,
-        train_part.labels,
-        TrainConfig(epochs=epochs, loss="bce"),
-        progress=_progress_printer(f"T={length} seed={seed}") if progress else None,
-    )
-    return _binary_accuracy(model.forward_batch(eval_part.inputs), eval_part.labels)
+    _fit(model, train_part, loss, epochs, label)
+    return model, eval_part
 
 
-def _lemma1_seed(args: tuple) -> float:
-    n, k, seed, epochs, hidden_width, progress = args
-    dfa = random_dfa(n, k, seed=(seed, _DATA, n, k))
-    data = gen_transition_dataset(dfa)
+def _acceptor_seed(seed, length, samples, epochs, hidden_width, progress) -> dict:
+    model, held_out = _fit_unrolled(
+        make_parity_dfa(), gen_dfa_dataset, (seed, length), ([1], ["sigmoid"]), "bce",
+        length, samples, epochs, hidden_width, DEFAULT_STATE_WIDTH,
+        f"T={length} seed={seed}" if progress else None,
+    )
+    return {"accuracy": _binary_accuracy(model.forward_batch(held_out.inputs), held_out.labels)}
+
+
+def _embedding_seed(
+    seed, dfa, key, label, length, samples, epochs, hidden_width, state_width,
+    embedding_dim, centroid, progress,
+) -> dict:
+    """Held-out state accuracy of an embedding head, plus one embedding distance.
+
+    ``centroid`` reports the mean centroid distance (cor21) in place of the
+    class separation, max intra and min inter distance (thm2).
+    """
+    heads = ([embedding_dim, dfa.state_count], ["identity", "identity"])
+    model, held_out = _fit_unrolled(
+        dfa, gen_dfa_state_dataset, (seed, *key), heads, "softmax_ce",
+        length, samples, epochs, hidden_width, state_width,
+        f"{label} seed={seed}" if progress else None,
+    )
+    embeddings, logits = model.head_outputs(held_out.inputs)
+    classes = held_out.labels.argmax(axis=1)
+    row = {"accuracy": _argmax_accuracy(logits, held_out.labels)}
+    if centroid:
+        row["centroid_distance"] = _centroid_distance(embeddings, classes)
+    else:
+        row["intra_class_max"], row["inter_class_min"] = _class_distances(embeddings, classes)
+    return row
+
+
+def _transition_seed(seed, n, k, epochs, hidden_width, progress) -> dict:
+    data = gen_transition_dataset(random_dfa(n, k, seed=(seed, _DATA, n, k)))
     model = TrainableMlp([n + k, hidden_width, n], ["relu", "identity"], seed=(seed, _INIT, n, k))
-    train(
-        model,
-        data.inputs,
-        data.labels,
-        TrainConfig(epochs=epochs, loss="mse"),
-        progress=_progress_printer(f"n={n} k={k} seed={seed}") if progress else None,
-    )
-    return _argmax_accuracy(model.forward_batch(data.inputs), data.labels)
+    _fit(model, data, "mse", epochs, f"n={n} k={k} seed={seed}" if progress else None)
+    return {"accuracy": _argmax_accuracy(model.forward_batch(data.inputs), data.labels)}
 
 
-def _lemma2_seed(args: tuple) -> float:
-    n, seed, epochs, hidden_width, progress = args
-    dfa = make_mod_counter_dfa(n)
-    data = gen_binary_transition_dataset(dfa)
-    d = data.labels.shape[1]
-    model = TrainableMlp(
-        [data.inputs.shape[1], hidden_width, d], ["relu", "sigmoid"], seed=(seed, _INIT, n)
-    )
-    train(
-        model,
-        data.inputs,
-        data.labels,
-        TrainConfig(epochs=epochs, loss="bce"),
-        progress=_progress_printer(f"n={n} seed={seed}") if progress else None,
-    )
-    return _binary_accuracy(binarized_forward_batch(model, data.inputs), data.labels)
+def _binary_transition_seed(seed, n, epochs, hidden_width, progress) -> dict:
+    data = gen_binary_transition_dataset(make_mod_counter_dfa(n))
+    dims = [data.inputs.shape[1], hidden_width, data.labels.shape[1]]
+    model = TrainableMlp(dims, ["relu", "sigmoid"], seed=(seed, _INIT, n))
+    _fit(model, data, "bce", epochs, f"n={n} seed={seed}" if progress else None)
+    return {"accuracy": _binary_accuracy(model.forward_batch(data.inputs), data.labels)}
 
 
-def _theorem2_seed(args: tuple) -> tuple[float, float, float]:
-    length, seed, sample_count, epochs, hidden_width, embedding_dim, progress = args
-    dfa = make_parity_dfa()
-    data = gen_dfa_state_dataset(dfa, length, sample_count, seed=(seed, _DATA, length))
-    train_part, eval_part = split_dataset(data, DEFAULT_TRAIN_FRACTION, seed=(seed, _SPLIT, length))
-    model = UnrolledNet(
-        state_dim=DEFAULT_STATE_WIDTH,
-        alphabet_size=dfa.alphabet_size,
-        length=length,
-        start_state=dfa.start_state,
-        head_dims=[embedding_dim, dfa.state_count],
-        head_activations=["identity", "identity"],
-        seed=(seed, _INIT, length),
-        hidden_width=hidden_width,
+def _anbn_seed(
+    seed, train_range, test_range, samples, epochs, hidden_width, max_len, pad_mode, progress
+) -> dict:
+    train_data, test_data = (
+        gen_anbn_dataset(span, samples, max_len=max_len, seed=(seed, tag), pad_mode=pad_mode)
+        for span, tag in ((train_range, _DATA), (test_range, _TEST))
     )
-    train(
-        model,
-        train_part.inputs,
-        train_part.labels,
-        TrainConfig(epochs=epochs, loss="softmax_ce"),
-        progress=_progress_printer(f"T={length} seed={seed}") if progress else None,
+    dims = [train_data.inputs.shape[1], hidden_width, 1]
+    model = TrainableMlp(dims, ["relu", "sigmoid"], seed=(seed, _INIT))
+    _fit(model, train_data, "bce", epochs, f"seed={seed}" if progress else None)
+    held_out, trained = (
+        _binary_accuracy(model.forward_batch(data.inputs), data.labels)
+        for data in (test_data, train_data)
     )
-    embeddings, logits = model.head_outputs(eval_part.inputs)
-    accuracy = _argmax_accuracy(logits, eval_part.labels)
-    intra_max, inter_min = _class_distances(embeddings, eval_part.labels.argmax(axis=1))
-    return accuracy, intra_max, inter_min
-
-
-def _corollary21_seed(args: tuple) -> tuple[float, float]:
-    n, seed, length, sample_count, epochs, hidden_width, state_width, progress = args
-    dfa = make_mod_counter_dfa(n)
-    data = gen_dfa_state_dataset(dfa, length, sample_count, seed=(seed, _DATA, n))
-    train_part, eval_part = split_dataset(data, DEFAULT_TRAIN_FRACTION, seed=(seed, _SPLIT, n))
-    compressed_dim = int(np.ceil(np.log2(n)))
-    model = UnrolledNet(
-        state_dim=state_width,
-        alphabet_size=dfa.alphabet_size,
-        length=length,
-        start_state=dfa.start_state,
-        head_dims=[compressed_dim, n],
-        head_activations=["identity", "identity"],
-        seed=(seed, _INIT, n),
-        hidden_width=hidden_width,
-    )
-    train(
-        model,
-        train_part.inputs,
-        train_part.labels,
-        TrainConfig(epochs=epochs, loss="softmax_ce"),
-        progress=_progress_printer(f"n={n} seed={seed}") if progress else None,
-    )
-    embeddings, logits = model.head_outputs(eval_part.inputs)
-    accuracy = _argmax_accuracy(logits, eval_part.labels)
-    distance = _centroid_distance(embeddings, eval_part.labels.argmax(axis=1))
-    return accuracy, distance
-
-
-def _theorem3_seed(args: tuple) -> tuple[float, float]:
-    seed, train_range, test_range, sample_count, epochs, hidden_width, max_len, pad_mode, progress = args
-    train_data = gen_anbn_dataset(
-        train_range, sample_count, max_len=max_len, seed=(seed, _DATA), pad_mode=pad_mode
-    )
-    test_data = gen_anbn_dataset(
-        test_range, sample_count, max_len=max_len, seed=(seed, _TEST), pad_mode=pad_mode
-    )
-    model = TrainableMlp(
-        [train_data.inputs.shape[1], hidden_width, 1], ["relu", "sigmoid"], seed=(seed, _INIT)
-    )
-    train(
-        model,
-        train_data.inputs,
-        train_data.labels,
-        TrainConfig(epochs=epochs, loss="bce"),
-        progress=_progress_printer(f"seed={seed}") if progress else None,
-    )
-    held_out = _binary_accuracy(model.forward_batch(test_data.inputs), test_data.labels)
-    train_acc = _binary_accuracy(model.forward_batch(train_data.inputs), train_data.labels)
-    return held_out, train_acc
+    return {"held_out_accuracy": held_out, "train_accuracy": trained}
 
 
 def _class_distances(embeddings: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
@@ -488,11 +416,46 @@ def _centroid_distance(embeddings: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(dists))
 
 
-def _map_jobs(worker: Callable, arg_tuples: list[tuple], jobs: int) -> list:
+def _compiled_accuracy(net: NetworkSpec, data: Dataset) -> float:
+    """Share of rows whose label the compiled network reproduces exactly."""
+    return float((spec_forward_batch(net, data.inputs) == data.labels).all(axis=1).mean())
+
+
+# ---------------------------------------------------------------------------
+# sweep driver
+
+
+def _map_jobs(worker: Callable, seeds: Sequence[int], jobs: int) -> list:
     if jobs <= 1:
-        return [worker(a) for a in arg_tuples]
+        return [worker(seed) for seed in seeds]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, arg_tuples))
+        return list(pool.map(worker, seeds))
+
+
+def _sweep(
+    name: str,
+    worker: Callable[..., dict],
+    grid: Iterable[tuple[dict, dict]],
+    seeds: Sequence[int],
+    jobs: int,
+    progress: bool,
+    counterpart: Callable[[dict], dict] | None = None,
+) -> list[ExperimentReport]:
+    """One report per grid point: ``worker`` over every seed, plus compiled extras.
+
+    Each grid point is (config, params): the config its report carries and the
+    keyword arguments ``worker`` takes at that point. ``counterpart(config)``
+    returns the report's extras.
+    """
+    reports = []
+    for config, params in grid:
+        start = time.perf_counter()
+        rows = _map_jobs(partial(worker, progress=progress, **params), seeds, jobs)
+        metrics = {metric: [row[metric] for row in rows] for metric in rows[0]} if rows else {}
+        extras = counterpart(config) if counterpart else None
+        runtime = time.perf_counter() - start
+        reports.append(_make_report(name, config, seeds, metrics, extras, runtime))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -515,39 +478,19 @@ def run_theorem1(
     acceptor and verify it on all 2^T strings.
     """
     dfa = make_parity_dfa()
-    reports = []
-    for length in T_values:
-        start = time.perf_counter()
-        accs = _map_jobs(
-            _theorem1_seed,
-            [(length, s, sample_count, epochs, hidden_width, progress) for s in seeds],
-            jobs,
-        )
-        compiled = build_unrolled_acceptor(dfa, length)
-        verification = verify_exact(compiled, dfa, length)
-        constructive = (
-            verification.total_strings - len(verification.mismatches)
-        ) / verification.total_strings
-        reports.append(
-            _make_report(
-                name="unrolled-acceptor",
-                config={
-                    "dfa": "parity",
-                    "T": length,
-                    "samples": sample_count,
-                    "epochs": epochs,
-                    "hidden_width": hidden_width,
-                },
-                seeds=seeds,
-                metrics={"accuracy": accs},
-                extras={
-                    "constructive_accuracy": constructive,
-                    "constructive_exact": verification.exact,
-                },
-                runtime_seconds=time.perf_counter() - start,
-            )
-        )
-    return reports
+
+    def counterpart(config: dict) -> dict:
+        verification = verify_exact(build_unrolled_acceptor(dfa, config["T"]), dfa, config["T"])
+        total = verification.total_strings
+        return {
+            "constructive_accuracy": (total - len(verification.mismatches)) / total,
+            "constructive_exact": verification.exact,
+        }
+
+    sizes = dict(samples=sample_count, epochs=epochs, hidden_width=hidden_width)
+    grid = [(dict(dfa="parity", T=T, **sizes), dict(length=T)) for T in T_values]
+    worker = partial(_acceptor_seed, **sizes)
+    return _sweep("unrolled-acceptor", worker, grid, seeds, jobs, progress, counterpart)
 
 
 def run_lemma1(
@@ -565,40 +508,20 @@ def run_lemma1(
     accuracy is the fraction of argmax-correct successor states. The compiled
     lookup layer is checked exhaustively alongside.
     """
-    reports = []
-    for n in n_values:
-        for k in k_values:
-            start = time.perf_counter()
-            accs = _map_jobs(
-                _lemma1_seed, [(n, k, s, epochs, hidden_width, progress) for s in seeds], jobs
-            )
-            constructive = min(
-                _transition_layer_accuracy(random_dfa(n, k, seed=(s, _DATA, n, k)))
-                for s in seeds
-            )
-            reports.append(
-                _make_report(
-                    name="transition-lookup",
-                    config={"n": n, "k": k, "epochs": epochs, "hidden_width": hidden_width},
-                    seeds=seeds,
-                    metrics={"accuracy": accs},
-                    extras={"constructive_accuracy": constructive},
-                    runtime_seconds=time.perf_counter() - start,
-                )
-            )
-    return reports
 
+    def counterpart(config: dict) -> dict:
+        n, k = config["n"], config["k"]
+        dfas = [random_dfa(n, k, seed=(s, _DATA, n, k)) for s in seeds]
+        accuracies = [
+            _compiled_accuracy(build_transition_layer(dfa), gen_transition_dataset(dfa))
+            for dfa in dfas
+        ]
+        return {"constructive_accuracy": min(accuracies)}
 
-def _transition_layer_accuracy(dfa: Dfa) -> float:
-    data = gen_transition_dataset(dfa)
-    outputs = spec_forward_batch(build_transition_layer(dfa), data.inputs)
-    return _argmax_accuracy(outputs, data.labels)
-
-
-def _threshold_network_accuracy(dfa: Dfa) -> float:
-    data = gen_binary_transition_dataset(dfa)
-    outputs = spec_forward_batch(build_binary_threshold_network(dfa), data.inputs)
-    return float((outputs == data.labels).all(axis=1).mean())
+    sizes = dict(epochs=epochs, hidden_width=hidden_width)
+    grid = [(dict(n=n, k=k, **sizes), dict(n=n, k=k)) for n in n_values for k in k_values]
+    worker = partial(_transition_seed, **sizes)
+    return _sweep("transition-lookup", worker, grid, seeds, jobs, progress, counterpart)
 
 
 def run_lemma2(
@@ -615,25 +538,16 @@ def run_lemma2(
     when every output bit matches. The compiled threshold circuit for the
     same automaton is evaluated alongside (always exact).
     """
-    reports = []
-    for n in n_values:
-        start = time.perf_counter()
-        accs = _map_jobs(
-            _lemma2_seed, [(n, s, epochs, hidden_width, progress) for s in seeds], jobs
-        )
-        reports.append(
-            _make_report(
-                name="binary-transition",
-                config={"n": n, "k": 2, "epochs": epochs, "hidden_width": hidden_width},
-                seeds=seeds,
-                metrics={"accuracy": accs},
-                extras={
-                    "constructive_accuracy": _threshold_network_accuracy(make_mod_counter_dfa(n))
-                },
-                runtime_seconds=time.perf_counter() - start,
-            )
-        )
-    return reports
+
+    def counterpart(config: dict) -> dict:
+        dfa = make_mod_counter_dfa(config["n"])
+        net, data = build_binary_threshold_network(dfa), gen_binary_transition_dataset(dfa)
+        return {"constructive_accuracy": _compiled_accuracy(net, data)}
+
+    sizes = dict(epochs=epochs, hidden_width=hidden_width)
+    grid = [(dict(n=n, k=2, **sizes), dict(n=n)) for n in n_values]
+    worker = partial(_binary_transition_seed, **sizes)
+    return _sweep("binary-transition", worker, grid, seeds, jobs, progress, counterpart)
 
 
 def run_theorem2(
@@ -654,40 +568,16 @@ def run_theorem2(
     same-state strings embed closer than different-state ones whenever the
     classifier is perfect.
     """
-    reports = []
-    for length in T_values:
-        start = time.perf_counter()
-        rows = _map_jobs(
-            _theorem2_seed,
-            [
-                (length, s, sample_count, epochs, hidden_width, embedding_dim, progress)
-                for s in seeds
-            ],
-            jobs,
-        )
-        accs = [r[0] for r in rows]
-        intra = [r[1] for r in rows]
-        inter = [r[2] for r in rows]
-        reports.append(
-            _make_report(
-                name="equivalence-embedding",
-                config={
-                    "dfa": "parity",
-                    "T": length,
-                    "samples": sample_count,
-                    "epochs": epochs,
-                    "embedding_dim": embedding_dim,
-                },
-                seeds=seeds,
-                metrics={
-                    "accuracy": accs,
-                    "intra_class_max": intra,
-                    "inter_class_min": inter,
-                },
-                runtime_seconds=time.perf_counter() - start,
-            )
-        )
-    return reports
+    sizes = dict(samples=sample_count, epochs=epochs, embedding_dim=embedding_dim)
+    grid = [
+        (dict(dfa="parity", T=T, **sizes), dict(length=T, key=(T,), label=f"T={T}"))
+        for T in T_values
+    ]
+    worker = partial(
+        _embedding_seed, dfa=make_parity_dfa(), hidden_width=hidden_width,
+        state_width=DEFAULT_STATE_WIDTH, centroid=False, **sizes,
+    )
+    return _sweep("equivalence-embedding", worker, grid, seeds, jobs, progress)
 
 
 def run_corollary21(
@@ -710,36 +600,17 @@ def run_corollary21(
     the narrower carrier the scalar-code case (n=2) is markedly harder than
     the wider ones, which is the regime this suite characterizes.
     """
-    reports = []
+    sizes = dict(samples=sample_count, epochs=epochs)
+    grid = []
     for n in n_values:
-        start = time.perf_counter()
-        rows = _map_jobs(
-            _corollary21_seed,
-            [
-                (n, s, length, sample_count, epochs, hidden_width, state_width, progress)
-                for s in seeds
-            ],
-            jobs,
-        )
-        reports.append(
-            _make_report(
-                name="compressed-embedding",
-                config={
-                    "n": n,
-                    "d": int(np.ceil(np.log2(n))),
-                    "T": length,
-                    "samples": sample_count,
-                    "epochs": epochs,
-                },
-                seeds=seeds,
-                metrics={
-                    "accuracy": [r[0] for r in rows],
-                    "centroid_distance": [r[1] for r in rows],
-                },
-                runtime_seconds=time.perf_counter() - start,
-            )
-        )
-    return reports
+        d = int(np.ceil(np.log2(n)))
+        params = dict(dfa=make_mod_counter_dfa(n), key=(n,), label=f"n={n}", embedding_dim=d)
+        grid.append((dict(n=n, d=d, T=length, **sizes), params))
+    worker = partial(
+        _embedding_seed, length=length, hidden_width=hidden_width, state_width=state_width,
+        centroid=True, **sizes,
+    )
+    return _sweep("compressed-embedding", worker, grid, seeds, jobs, progress)
 
 
 def run_theorem3(
@@ -760,42 +631,12 @@ def run_theorem3(
     outcome is chance-level held-out accuracy, certifying that this
     architecture class does not generalize counting.
     """
-    start = time.perf_counter()
-    rows = _map_jobs(
-        _theorem3_seed,
-        [
-            (
-                s,
-                train_range,
-                test_range,
-                sample_count,
-                epochs,
-                hidden_width,
-                max_len,
-                pad_mode,
-                progress,
-            )
-            for s in seeds
-        ],
-        jobs,
+    config = dict(
+        train_range=train_range, test_range=test_range, samples=sample_count,
+        epochs=epochs, max_len=max_len, pad_mode=pad_mode,
     )
-    return _make_report(
-        name="anbn-negative-control",
-        config={
-            "train_range": train_range,
-            "test_range": test_range,
-            "samples": sample_count,
-            "epochs": epochs,
-            "max_len": max_len,
-            "pad_mode": pad_mode,
-        },
-        seeds=seeds,
-        metrics={
-            "held_out_accuracy": [r[0] for r in rows],
-            "train_accuracy": [r[1] for r in rows],
-        },
-        runtime_seconds=time.perf_counter() - start,
-    )
+    worker = partial(_anbn_seed, hidden_width=hidden_width, **config)
+    return _sweep("anbn-negative-control", worker, [(config, {})], seeds, jobs, progress)[0]
 
 
 CHANCE_BAND = (0.40, 0.65)

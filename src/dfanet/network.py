@@ -99,17 +99,26 @@ class NetworkSpec:
         return sum(l.weights.size + l.bias.size for l in self.layers)
 
 
-def apply_activation(layer: LayerSpec, z: np.ndarray) -> np.ndarray:
-    if layer.activation == "relu":
+def apply_activation(
+    name: str, z: np.ndarray, thresholds: np.ndarray | None = None, strict: bool = False
+) -> np.ndarray:
+    """Elementwise activation ``name``; step units compare ``z`` with their thresholds."""
+    if name == "relu":
         return np.maximum(z, 0.0)
-    if layer.activation == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    if layer.activation == "identity":
+    if name == "sigmoid":
+        # exp only ever sees non-positive arguments, so it cannot overflow
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+    if name == "identity":
         return z
-    # step: per-unit threshold, broadcast over leading batch axis
-    if layer.strict:
-        return (z > layer.thresholds).astype(float)
-    return (z >= layer.thresholds).astype(float)
+    if name == "step" and thresholds is not None:
+        # per-unit threshold, broadcast over leading batch axis
+        return (z > thresholds if strict else z >= thresholds).astype(float)
+    raise ValueError(f"unknown activation {name!r}")
 
 
 def forward_batch(net: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
@@ -122,7 +131,8 @@ def forward_batch(net: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
             f"input dimension mismatch: network expects {net.input_dim}, got {a.shape[1]}"
         )
     for layer in net.layers:
-        a = apply_activation(layer, a @ layer.weights.T + layer.bias)
+        z = a @ layer.weights.T + layer.bias
+        a = apply_activation(layer.activation, z, layer.thresholds, layer.strict)
     return a
 
 

@@ -14,30 +14,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .network import NetworkSpec
+from .network import NetworkSpec, apply_activation
 from .network import forward as spec_forward
 from .network import forward_batch as spec_forward_batch
 
 LOSSES = ("bce", "mse", "softmax_ce")
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "sigmoid":
-        return _sigmoid(z)
-    if name == "identity":
-        return z
-    raise ValueError(f"unknown trainable activation {name!r}")
 
 
 def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -137,7 +118,7 @@ class TrainableMlp:
         if a.ndim != 2 or a.shape[1] != self.input_dim:
             raise ValueError(f"expected a batch of {self.input_dim}-vectors")
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            a = _activate(act, a @ w.T + b)
+            a = apply_activation(act, a @ w.T + b)
         return a
 
     def loss_and_gradients(
@@ -152,7 +133,7 @@ class TrainableMlp:
         for w, b, act in zip(self.weights, self.biases, self.activations):
             z = post[-1] @ w.T + b
             pre.append(z)
-            post.append(_activate(act, z))
+            post.append(apply_activation(act, z))
 
         value, grad, fused = _loss_and_output_grad(
             loss, pre[-1], post[-1], targets, self.activations[-1]
@@ -168,11 +149,6 @@ class TrainableMlp:
                     self.activations[layer - 1], pre[layer - 1], post[layer]
                 )
         return value, grads
-
-
-def init_mlp(dims: Sequence[int], activations: Sequence[str], seed) -> TrainableMlp:
-    """Seeded MLP: weights uniform in +-sqrt(1/fan_in), biases zero."""
-    return TrainableMlp(dims, activations, seed)
 
 
 class UnrolledNet:
@@ -244,10 +220,6 @@ class UnrolledNet:
         return self.head_weights[-1][0].shape[0]
 
     @property
-    def activations(self) -> list[str]:
-        return self.head_activations
-
-    @property
     def parameters(self) -> list[np.ndarray]:
         params: list[np.ndarray] = []
         for w1, b1, w2, b2 in self.step_weights:
@@ -267,7 +239,7 @@ class UnrolledNet:
         for block, (w1, b1, w2, b2) in zip(self._blocks(inputs), self.step_weights):
             joint = np.concatenate([state, block], axis=1)
             hidden = np.maximum(joint @ w1.T + b1, 0.0)
-            state = _activate(self.state_activation, hidden @ w2.T + b2)
+            state = apply_activation(self.state_activation, hidden @ w2.T + b2)
         return state
 
     def head_outputs(self, inputs: np.ndarray) -> list[np.ndarray]:
@@ -275,7 +247,7 @@ class UnrolledNet:
         a = self.trunk_batch(inputs)
         outs = []
         for (w, b), act in zip(self.head_weights, self.head_activations):
-            a = _activate(act, a @ w.T + b)
+            a = apply_activation(act, a @ w.T + b)
             outs.append(a)
         return outs
 
@@ -302,7 +274,7 @@ class UnrolledNet:
             z1 = joint @ w1.T + b1
             a1 = np.maximum(z1, 0.0)
             z2 = a1 @ w2.T + b2
-            state = _activate(self.state_activation, z2)
+            state = apply_activation(self.state_activation, z2)
             joints.append(joint)
             hidden_pre.append(z1)
             hidden_post.append(a1)
@@ -314,7 +286,7 @@ class UnrolledNet:
         for (w, b), act in zip(self.head_weights, self.head_activations):
             z = head_post[-1] @ w.T + b
             head_pre.append(z)
-            head_post.append(_activate(act, z))
+            head_post.append(apply_activation(act, z))
 
         value, grad, fused = _loss_and_output_grad(
             loss, head_pre[-1], head_post[-1], targets, self.head_activations[-1]
@@ -373,19 +345,6 @@ def loss_and_gradients(
 ) -> tuple[float, list[np.ndarray]]:
     """Mean batch loss and exact reverse-mode gradients, parameter-shaped."""
     return model.loss_and_gradients(inputs, targets, loss)
-
-
-def binarized_forward(model: TrainableModel, x: np.ndarray) -> np.ndarray:
-    """Round sigmoid outputs to bits; ties at 0.5 round away from zero."""
-    if model.activations[-1] != "sigmoid":
-        raise ValueError("binarized_forward requires a sigmoid output layer")
-    return np.floor(forward(model, x) + 0.5)
-
-
-def binarized_forward_batch(model: TrainableModel, inputs: np.ndarray) -> np.ndarray:
-    if model.activations[-1] != "sigmoid":
-        raise ValueError("binarized_forward requires a sigmoid output layer")
-    return np.floor(forward_batch(model, inputs) + 0.5)
 
 
 @dataclass

@@ -24,7 +24,7 @@ from dfanet.compiler import (
 )
 from dfanet.formats import format_network_document, parse_network_document
 from dfanet.network import forward_batch
-from dfanet.nn import init_mlp
+from dfanet.nn import TrainableMlp
 from dfanet import experiments
 
 from conftest import table_filling_minimal_count
@@ -231,7 +231,7 @@ def test_criterion_11a_gradient_check_hundred_cases():
         dims = [int(rng.integers(2, 7)), int(rng.integers(2, 9)), int(rng.integers(1, 5))]
         hidden = "relu" if case % 2 else "sigmoid"
         loss, final = [("mse", "identity"), ("bce", "sigmoid"), ("softmax_ce", "identity")][case % 3]
-        mlp = init_mlp(dims, [hidden, final], seed=(102, case))
+        mlp = TrainableMlp(dims, [hidden, final], seed=(102, case))
         batch = int(rng.integers(1, 6))
         for attempt in range(20):
             inputs = rng.normal(size=(batch, dims[0]))

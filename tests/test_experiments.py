@@ -162,6 +162,13 @@ def test_run_theorem1_report_structure():
     assert report.runtime_seconds > 0
 
 
+def test_run_theorem1_worker_processes_match_in_process_run():
+    kwargs = dict(T_values=(5,), seeds=(0, 1), sample_count=200, epochs=20)
+    serial = run_theorem1(jobs=1, **kwargs)[0]
+    pooled = run_theorem1(jobs=2, **kwargs)[0]
+    assert serial.metrics["accuracy"] == pooled.metrics["accuracy"] == (0.9, 0.875)
+
+
 def test_run_lemma1_trivial_single_state():
     reports = run_lemma1(n_values=(1,), k_values=(2,), seeds=(0, 1), epochs=5)
     assert reports[0].metrics["accuracy"] == (1.0, 1.0)  # single state, argmax trivially right

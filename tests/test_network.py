@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -96,3 +98,11 @@ def test_parameter_count():
     b = LayerSpec(weights=np.zeros((1, 3)), bias=np.zeros(1), activation="identity")
     net = NetworkSpec(layers=(a, b), input_dim=2, output_dim=1)
     assert net.parameter_count == 6 + 3 + 3 + 1
+
+
+def test_sigmoid_saturates_without_overflow():
+    layer = LayerSpec(weights=np.eye(1), bias=np.zeros(1), activation="sigmoid")
+    net = NetworkSpec(layers=(layer,), input_dim=1, output_dim=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert forward(net, np.array([-1000.0])).tolist() == [0.0]

@@ -6,12 +6,11 @@ from dfanet.compiler import build_unrolled_acceptor
 from dfanet.encodings import encode_string
 from dfanet.nn import (
     AdamState,
+    TrainableMlp,
     TrainConfig,
     UnrolledNet,
     adam_step,
-    binarized_forward,
     forward,
-    init_mlp,
     loss_and_gradients,
     train,
 )
@@ -48,31 +47,31 @@ def test_forward_on_compiled_spec_and_mlp():
     net = build_unrolled_acceptor(parity, 2)
     assert forward(net, encode_string([1, 1], 2).data).tolist() == [1.0]
 
-    mlp = init_mlp([2, 2], ["identity"], seed=0)
+    mlp = TrainableMlp([2, 2], ["identity"], seed=0)
     mlp.weights[0][:] = np.eye(2)
     mlp.biases[0][:] = 0.0
     assert forward(mlp, np.array([1.5, -2.0])).tolist() == [1.5, -2.0]
 
 
 def test_init_mlp_shapes_and_count():
-    mlp = init_mlp([2, 1], ["sigmoid"], seed=0)
+    mlp = TrainableMlp([2, 1], ["sigmoid"], seed=0)
     assert mlp.weights[0].shape == (1, 2) and mlp.biases[0].shape == (1,)
 
-    mlp = init_mlp([4, 32, 2], ["relu", "sigmoid"], seed=0)
+    mlp = TrainableMlp([4, 32, 2], ["relu", "sigmoid"], seed=0)
     assert sum(p.size for p in mlp.parameters) == 4 * 32 + 32 + 32 * 2 + 2
 
 
 def test_init_mlp_deterministic_per_seed():
-    a = init_mlp([3, 5, 2], ["relu", "sigmoid"], seed=42)
-    b = init_mlp([3, 5, 2], ["relu", "sigmoid"], seed=42)
+    a = TrainableMlp([3, 5, 2], ["relu", "sigmoid"], seed=42)
+    b = TrainableMlp([3, 5, 2], ["relu", "sigmoid"], seed=42)
     for pa, pb in zip(a.parameters, b.parameters):
         assert np.array_equal(pa, pb)
-    c = init_mlp([3, 5, 2], ["relu", "sigmoid"], seed=43)
+    c = TrainableMlp([3, 5, 2], ["relu", "sigmoid"], seed=43)
     assert any(not np.array_equal(pa, pc) for pa, pc in zip(a.parameters, c.parameters))
 
 
 def test_init_mlp_bounds_and_zero_bias():
-    mlp = init_mlp([9, 4], ["relu"], seed=1)
+    mlp = TrainableMlp([9, 4], ["relu"], seed=1)
     limit = np.sqrt(1.0 / 9)
     assert np.all(np.abs(mlp.weights[0]) <= limit)
     assert np.all(mlp.biases[0] == 0.0)
@@ -80,20 +79,20 @@ def test_init_mlp_bounds_and_zero_bias():
 
 def test_init_mlp_rejects_bad_dims():
     with pytest.raises(ValueError):
-        init_mlp([3], [], seed=0)
+        TrainableMlp([3], [], seed=0)
     with pytest.raises(ValueError):
-        init_mlp([3, 2], ["relu", "relu"], seed=0)
+        TrainableMlp([3, 2], ["relu", "relu"], seed=0)
 
 
 def test_bce_at_zero_weights_is_ln2():
-    mlp = init_mlp([1, 1], ["sigmoid"], seed=0)
+    mlp = TrainableMlp([1, 1], ["sigmoid"], seed=0)
     mlp.weights[0][:] = 0.0
     value, _ = loss_and_gradients(mlp, np.array([[0.7]]), np.array([[1.0]]), "bce")
     assert value == pytest.approx(np.log(2.0), abs=1e-15)
 
 
 def test_mse_perfect_predictions():
-    mlp = init_mlp([2, 2], ["identity"], seed=0)
+    mlp = TrainableMlp([2, 2], ["identity"], seed=0)
     mlp.weights[0][:] = np.eye(2)
     inputs = np.array([[1.0, 2.0], [3.0, -1.0]])
     value, grads = loss_and_gradients(mlp, inputs, inputs, "mse")
@@ -102,7 +101,7 @@ def test_mse_perfect_predictions():
 
 
 def test_loss_validation():
-    mlp = init_mlp([2, 1], ["identity"], seed=0)
+    mlp = TrainableMlp([2, 1], ["identity"], seed=0)
     with pytest.raises(ValueError):
         loss_and_gradients(mlp, np.zeros((0, 2)), np.zeros((0, 1)), "mse")
     with pytest.raises(ValueError):
@@ -123,7 +122,7 @@ def test_loss_validation():
 )
 def test_gradients_match_central_differences(activations, loss):
     rng = np.random.default_rng(7)
-    mlp = init_mlp([4, 6, 3], activations, seed=5)
+    mlp = TrainableMlp([4, 6, 3], activations, seed=5)
     inputs = rng.normal(size=(5, 4))
     if loss == "softmax_ce":
         targets = np.eye(3)[rng.integers(0, 3, 5)]
@@ -153,7 +152,7 @@ def test_unrolled_gradients_match_central_differences():
 def test_train_learns_two_bit_and():
     inputs = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     labels = np.array([[0.0], [0.0], [0.0], [1.0]])
-    mlp = init_mlp([2, 8, 1], ["relu", "sigmoid"], seed=0)
+    mlp = TrainableMlp([2, 8, 1], ["relu", "sigmoid"], seed=0)
     trace = train(mlp, inputs, labels, TrainConfig(epochs=200, loss="bce"))
     predictions = np.floor(mlp.forward_batch(inputs) + 0.5)
     assert np.array_equal(predictions, labels)
@@ -161,7 +160,7 @@ def test_train_learns_two_bit_and():
 
 
 def test_train_zero_epochs_keeps_parameters():
-    mlp = init_mlp([2, 3, 1], ["relu", "sigmoid"], seed=1)
+    mlp = TrainableMlp([2, 3, 1], ["relu", "sigmoid"], seed=1)
     before = [p.copy() for p in mlp.parameters]
     trace = train(mlp, np.zeros((4, 2)), np.zeros((4, 1)), TrainConfig(epochs=0, loss="bce"))
     assert trace == []
@@ -174,7 +173,7 @@ def test_train_bitwise_reproducible():
     labels = np.array([[1.0], [0.0], [1.0]])
 
     def fit():
-        mlp = init_mlp([2, 4, 1], ["relu", "sigmoid"], seed=3)
+        mlp = TrainableMlp([2, 4, 1], ["relu", "sigmoid"], seed=3)
         trace = train(mlp, inputs, labels, TrainConfig(epochs=50, loss="bce"))
         return trace, [p.copy() for p in mlp.parameters]
 
@@ -199,22 +198,6 @@ def test_adam_moves_against_gradient():
     state = AdamState.for_parameters(params, TrainConfig(learning_rate=0.1))
     adam_step(params, [np.array([2.0])], state)
     assert params[0][0] < 1.0
-
-
-def test_binarized_forward():
-    mlp = init_mlp([1, 2], ["sigmoid"], seed=0)
-    mlp.weights[0][:] = np.array([[10.0], [-10.0]])
-    assert binarized_forward(mlp, np.array([1.0])).tolist() == [1.0, 0.0]
-
-    # a tie at exactly 0.5 rounds away from zero
-    mlp.weights[0][:] = 0.0
-    assert binarized_forward(mlp, np.array([1.0])).tolist() == [1.0, 1.0]
-
-
-def test_binarized_forward_requires_sigmoid():
-    mlp = init_mlp([1, 1], ["identity"], seed=0)
-    with pytest.raises(ValueError):
-        binarized_forward(mlp, np.array([1.0]))
 
 
 def test_unrolled_net_structure():
