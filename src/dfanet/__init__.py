@@ -41,18 +41,8 @@ from .encodings import (
     one_hot,
     one_hot_state_encoding,
 )
-from .network import LayerSpec, NetworkSpec
-from .nn import (
-    AdamState,
-    TrainableMlp,
-    TrainConfig,
-    UnrolledNet,
-    adam_step,
-    forward,
-    forward_batch,
-    loss_and_gradients,
-    train,
-)
+from .network import LayerSpec, NetworkSpec, forward, forward_batch
+from .nn import AdamState, TrainableMlp, TrainConfig, UnrolledNet, adam_step, train
 
 __all__ = [
     "Dfa",
@@ -85,14 +75,13 @@ __all__ = [
     "one_hot_state_encoding",
     "LayerSpec",
     "NetworkSpec",
+    "forward",
+    "forward_batch",
     "AdamState",
     "TrainableMlp",
     "TrainConfig",
     "UnrolledNet",
     "adam_step",
-    "forward",
-    "forward_batch",
-    "loss_and_gradients",
     "train",
 ]
 

@@ -129,6 +129,33 @@ def _carrier_stages(dfa: Dfa, length: int) -> list[LayerSpec]:
     return stages
 
 
+def _carrier_network(dfa: Dfa, length: int, head: np.ndarray, metadata: dict, **readout) -> NetworkSpec:
+    """Carrier stages plus one ``head @ final state`` layer, with the shared provenance.
+
+    At T=0 there is no carrier: the layer reads no input and its bias is the
+    start state's column of ``head``. ``readout`` sets that layer's activation.
+    """
+    if length < 0:
+        raise ValueError("length must be non-negative")
+    if length == 0:
+        layers = [LayerSpec(weights=np.zeros((head.shape[0], 0)), bias=head[:, dfa.start_state], **readout)]
+    else:
+        last = LayerSpec(weights=head, bias=np.zeros(head.shape[0]), **readout)
+        layers = _carrier_stages(dfa, length) + [last]
+    return NetworkSpec(
+        layers=tuple(layers),
+        input_dim=length * dfa.alphabet_size,
+        output_dim=head.shape[0],
+        metadata={
+            **metadata,
+            "dfa_sha256": dfa_fingerprint(dfa),
+            "length": length,
+            "transition_modules": length,
+            "depth": length + 1,
+        },
+    )
+
+
 def build_unrolled_acceptor(dfa: Dfa, length: int) -> NetworkSpec:
     """Fixed-length acceptor: T stacked transition modules plus a readout.
 
@@ -137,40 +164,11 @@ def build_unrolled_acceptor(dfa: Dfa, length: int) -> NetworkSpec:
     exactly 0 or 1, so the output equals the language indicator on every
     string of the given length.
     """
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    n, k = dfa.state_count, dfa.alphabet_size
-    indicator = np.zeros(n)
-    indicator[list(dfa.accepting)] = 1.0
-    if length == 0:
-        readout = LayerSpec(
-            weights=np.zeros((1, 0)),
-            bias=np.array([indicator[dfa.start_state]]),
-            activation="step",
-            thresholds=np.array([0.5]),
-            strict=True,
-        )
-        layers: tuple[LayerSpec, ...] = (readout,)
-    else:
-        readout = LayerSpec(
-            weights=indicator[None, :],
-            bias=np.zeros(1),
-            activation="step",
-            thresholds=np.array([0.5]),
-            strict=True,
-        )
-        layers = tuple(_carrier_stages(dfa, length)) + (readout,)
-    return NetworkSpec(
-        layers=layers,
-        input_dim=length * k,
-        output_dim=1,
-        metadata={
-            "construction": "unrolled-acceptor",
-            "dfa_sha256": dfa_fingerprint(dfa),
-            "length": length,
-            "transition_modules": length,
-            "depth": length + 1,
-        },
+    indicator = np.zeros((1, dfa.state_count))
+    indicator[0, list(dfa.accepting)] = 1.0
+    return _carrier_network(
+        dfa, length, indicator, {"construction": "unrolled-acceptor"},
+        activation="step", thresholds=np.array([0.5]), strict=True,
     )
 
 
@@ -232,9 +230,7 @@ def build_embedding_head(dfa: Dfa, length: int, head: np.ndarray | None = None) 
     identical vectors and strings reaching different states map to distinct
     ones. Defaults to the identity (one-hot state embeddings).
     """
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    n, k = dfa.state_count, dfa.alphabet_size
+    n = dfa.state_count
     head = np.eye(n) if head is None else np.array(head, dtype=float)
     if head.ndim != 2 or head.shape[1] != n:
         raise ValueError(f"head must have one column per state; expected {n} columns")
@@ -242,30 +238,8 @@ def build_embedding_head(dfa: Dfa, length: int, head: np.ndarray | None = None) 
         for j in range(i + 1, n):
             if np.array_equal(head[:, i], head[:, j]):
                 raise ValueError(f"head columns {i} and {j} coincide; embeddings must be distinct")
-    if length == 0:
-        layers: tuple[LayerSpec, ...] = (
-            LayerSpec(
-                weights=np.zeros((head.shape[0], 0)),
-                bias=head[:, dfa.start_state].copy(),
-                activation="identity",
-            ),
-        )
-    else:
-        embed = LayerSpec(weights=head, bias=np.zeros(head.shape[0]), activation="identity")
-        layers = tuple(_carrier_stages(dfa, length)) + (embed,)
-    return NetworkSpec(
-        layers=layers,
-        input_dim=length * k,
-        output_dim=head.shape[0],
-        metadata={
-            "construction": "embedding-head",
-            "dfa_sha256": dfa_fingerprint(dfa),
-            "length": length,
-            "transition_modules": length,
-            "depth": length + 1,
-            "embedding_dim": head.shape[0],
-        },
-    )
+    metadata = {"construction": "embedding-head", "embedding_dim": head.shape[0]}
+    return _carrier_network(dfa, length, head, metadata, activation="identity")
 
 
 def build_compressed_embedding(
@@ -319,14 +293,22 @@ class VerificationReport:
             raise ValueError("exact flag inconsistent with mismatch list")
 
 
+def _check_input_dim(net: NetworkSpec, dfa: Dfa, length: int) -> None:
+    k = dfa.alphabet_size
+    if net.input_dim != length * k:
+        raise ValueError(
+            f"network input dim {net.input_dim} does not match length {length} "
+            f"over a {k}-symbol alphabet"
+        )
+
+
 def _compare_on_strings(net: NetworkSpec, dfa: Dfa, strings: np.ndarray) -> list[tuple[tuple[int, ...], bool, bool]]:
     expected = accepts_batch(dfa, strings)
     outputs = forward_batch(net, encode_strings(strings, dfa.alphabet_size))
     got = outputs[:, 0] > 0.5
-    mismatches = []
-    for idx in np.flatnonzero(expected != got):
-        mismatches.append((tuple(int(s) for s in strings[idx]), bool(expected[idx]), bool(got[idx])))
-    return mismatches
+    bad = np.flatnonzero(expected != got)
+    found = zip(strings[bad].tolist(), expected[bad].tolist(), got[bad].tolist())
+    return [(tuple(string), want, have) for string, want, have in found]
 
 
 def verify_exact(
@@ -342,12 +324,8 @@ def verify_exact(
     stays bounded). Refuses lengths whose enumeration exceeds ``budget``;
     use sampled verification for those.
     """
+    _check_input_dim(net, dfa, length)
     k = dfa.alphabet_size
-    if net.input_dim != length * k:
-        raise ValueError(
-            f"network input dim {net.input_dim} does not match length {length} "
-            f"over a {k}-symbol alphabet"
-        )
     total = k**length
     if total > budget:
         raise EnumerationBudgetError(
@@ -377,16 +355,11 @@ def verify_sampled(
     seed: int | tuple[int, ...] = 0,
 ) -> VerificationReport:
     """Spot-check the network on ``count`` uniform strings of ``length``."""
-    k = dfa.alphabet_size
-    if net.input_dim != length * k:
-        raise ValueError(
-            f"network input dim {net.input_dim} does not match length {length} "
-            f"over a {k}-symbol alphabet"
-        )
+    _check_input_dim(net, dfa, length)
     if count < 1:
         raise ValueError("sample count must be positive")
     rng = np.random.default_rng(seed)
-    strings = rng.integers(0, k, size=(count, length))
+    strings = rng.integers(0, dfa.alphabet_size, size=(count, length))
     mismatches = sorted(set(_compare_on_strings(net, dfa, strings)))
     return VerificationReport(
         total_strings=count, mismatches=tuple(mismatches), exact=not mismatches

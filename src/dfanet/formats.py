@@ -288,9 +288,9 @@ def parse_network_document(text: str) -> NetworkSpec:
 
     layers = []
     for idx in range(layer_count):
-        index_tokens, at = reader.expect("layer")
-        if take_int(index_tokens, "layer index", at) != idx:
-            raise DocumentError(f"layer blocks out of order (expected {idx})", at)
+        index_tokens, layer_line = reader.expect("layer")
+        if take_int(index_tokens, "layer index", layer_line) != idx:
+            raise DocumentError(f"layer blocks out of order (expected {idx})", layer_line)
         activation_tokens, at = reader.expect("activation")
         if not activation_tokens:
             raise DocumentError("activation name missing", at)
@@ -316,25 +316,31 @@ def parse_network_document(text: str) -> NetworkSpec:
             raise DocumentError("shape takes output and input dims", at)
         out_dim = take_int(parts[1:2], "output dim", at)
         in_dim = take_int(parts[2:3], "input dim", at)
+        if out_dim < 0 or in_dim < 0:
+            raise DocumentError("shape dims must be non-negative", at)
         if activation == "step":
             thresholds = parse_floats(threshold_tokens, out_dim, at)
         reader.expect("weights")
-        weights = np.zeros((out_dim, in_dim))
+        # rows are allocated as they are read, never from the declared shape alone
+        rows = []
         if in_dim:
-            for row in range(out_dim):
+            for _ in range(out_dim):
                 row_line, at = reader.next()
-                weights[row] = parse_floats(row_line.split(), in_dim, at)
+                rows.append(parse_floats(row_line.split(), in_dim, at))
         bias_tokens, at = reader.expect("bias")
         bias = parse_floats(bias_tokens, out_dim, at)
-        layers.append(
-            LayerSpec(
-                weights=weights,
-                bias=bias,
-                activation=activation,
-                thresholds=thresholds,
-                strict=strict,
+        try:
+            layers.append(
+                LayerSpec(
+                    weights=np.array(rows).reshape(out_dim, in_dim),
+                    bias=bias,
+                    activation=activation,
+                    thresholds=thresholds,
+                    strict=strict,
+                )
             )
-        )
+        except ValueError as exc:
+            raise DocumentError(f"layer {idx}: {exc}", layer_line) from None
 
     try:
         return NetworkSpec(

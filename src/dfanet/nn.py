@@ -3,7 +3,9 @@
 Two trainable model families cover every experiment in the suite: a plain
 :class:`TrainableMlp` and the :class:`UnrolledNet`, which stacks one unshared
 two-layer ReLU block per sequence position (consuming the carried state and
-that position's one-hot symbol block) under a configurable head stack.
+that position's one-hot symbol block) under a configurable head stack. The
+MLP, each position block and the head are all dense stacks, run by one forward
+pass (``_stack_forward``) and one backward pass (``_stack_backward``).
 Everything is double precision and deterministic per seed.
 """
 
@@ -14,9 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .network import NetworkSpec, apply_activation
-from .network import forward as spec_forward
-from .network import forward_batch as spec_forward_batch
+from .network import apply_activation
 
 LOSSES = ("bce", "mse", "softmax_ce")
 
@@ -33,16 +33,15 @@ def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _loss_and_output_grad(
     loss: str, z_last: np.ndarray, a_last: np.ndarray, targets: np.ndarray, last_activation: str
-) -> tuple[float, np.ndarray, bool]:
-    """Return (loss, gradient, fused) where fused means the gradient is wrt
-    the last pre-activation rather than the last output."""
+) -> tuple[float, np.ndarray]:
+    """Return the mean loss and its gradient wrt the last pre-activation."""
     batch = z_last.shape[0]
     if loss == "bce":
         if last_activation != "sigmoid":
             raise ValueError("bce loss requires a sigmoid output layer")
         # numerically fused form: softplus(z) - y*z, gradient sigma(z) - y
         per_elem = np.maximum(z_last, 0.0) - z_last * targets + np.log1p(np.exp(-np.abs(z_last)))
-        return float(per_elem.sum() / batch), (a_last - targets) / batch, True
+        return float(per_elem.sum() / batch), (a_last - targets) / batch
     if loss == "softmax_ce":
         if last_activation != "identity":
             raise ValueError("softmax cross-entropy expects identity (logit) outputs")
@@ -50,11 +49,47 @@ def _loss_and_output_grad(
         log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         log_probs = shifted - log_norm
         value = float(-(targets * log_probs).sum() / batch)
-        return value, (np.exp(log_probs) - targets) / batch, True
+        return value, (np.exp(log_probs) - targets) / batch
     if loss == "mse":
         diff = a_last - targets
-        return float(0.5 * (diff * diff).sum() / batch), diff / batch, False
+        grad = diff / batch * _activation_grad(last_activation, z_last, a_last)
+        return float(0.5 * (diff * diff).sum() / batch), grad
     raise ValueError(f"unknown loss {loss!r}; choose from {LOSSES}")
+
+
+def _stack_forward(
+    params: Sequence[np.ndarray], activations: Sequence[str], x: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Run a dense stack; ``params`` alternates weight and bias, one pair per activation.
+
+    Returns the pre-activation of every layer and the post-activations, the
+    latter starting with ``x`` itself.
+    """
+    pre: list[np.ndarray] = []
+    post: list[np.ndarray] = [x]
+    for w, b, act in zip(params[::2], params[1::2], activations):
+        pre.append(post[-1] @ w.T + b)
+        post.append(apply_activation(act, pre[-1]))
+    return pre, post
+
+
+def _stack_backward(
+    params: Sequence[np.ndarray], activations: Sequence[str], pre: list, post: list, dz: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Backprop ``dz``, the gradient at the last pre-activation, through the stack.
+
+    Returns the parameter gradients (shaped like ``params``) and the gradient
+    at the first layer's pre-activation; a caller that needs the input
+    gradient multiplies that by the first weight matrix itself.
+    """
+    grads: list[np.ndarray] = [np.empty(0)] * len(params)
+    for layer in range(len(activations) - 1, -1, -1):
+        grads[2 * layer] = dz.T @ post[layer]
+        grads[2 * layer + 1] = dz.sum(axis=0)
+        if layer:
+            upstream = dz @ params[2 * layer]
+            dz = upstream * _activation_grad(activations[layer - 1], pre[layer - 1], post[layer])
+    return grads, dz
 
 
 def _check_batch(inputs: np.ndarray, targets: np.ndarray, input_dim: int, output_dim: int) -> None:
@@ -108,47 +143,25 @@ class TrainableMlp:
 
     @property
     def parameters(self) -> list[np.ndarray]:
-        params: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            params.extend((w, b))
-        return params
+        return [p for layer in zip(self.weights, self.biases) for p in layer]
 
     def forward_batch(self, inputs: np.ndarray) -> np.ndarray:
         a = np.asarray(inputs, dtype=float)
         if a.ndim != 2 or a.shape[1] != self.input_dim:
             raise ValueError(f"expected a batch of {self.input_dim}-vectors")
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            a = apply_activation(act, a @ w.T + b)
-        return a
+        return _stack_forward(self.parameters, self.activations, a)[1][-1]
 
     def loss_and_gradients(
         self, inputs: np.ndarray, targets: np.ndarray, loss: str
     ) -> tuple[float, list[np.ndarray]]:
+        """Mean batch loss and exact reverse-mode gradients, parameter-shaped."""
         inputs = np.asarray(inputs, dtype=float)
         targets = np.asarray(targets, dtype=float)
         _check_batch(inputs, targets, self.input_dim, self.output_dim)
-
-        pre: list[np.ndarray] = []
-        post: list[np.ndarray] = [inputs]
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            z = post[-1] @ w.T + b
-            pre.append(z)
-            post.append(apply_activation(act, z))
-
-        value, grad, fused = _loss_and_output_grad(
-            loss, pre[-1], post[-1], targets, self.activations[-1]
-        )
-        grads: list[np.ndarray] = [np.empty(0)] * (2 * len(self.weights))
-        delta = grad if fused else grad * _activation_grad(self.activations[-1], pre[-1], post[-1])
-        for layer in range(len(self.weights) - 1, -1, -1):
-            grads[2 * layer] = delta.T @ post[layer]
-            grads[2 * layer + 1] = delta.sum(axis=0)
-            if layer:
-                upstream = delta @ self.weights[layer]
-                delta = upstream * _activation_grad(
-                    self.activations[layer - 1], pre[layer - 1], post[layer]
-                )
-        return value, grads
+        params = self.parameters
+        pre, post = _stack_forward(params, self.activations, inputs)
+        value, dz = _loss_and_output_grad(loss, pre[-1], post[-1], targets, self.activations[-1])
+        return value, _stack_backward(params, self.activations, pre, post, dz)[0]
 
 
 class UnrolledNet:
@@ -221,35 +234,30 @@ class UnrolledNet:
 
     @property
     def parameters(self) -> list[np.ndarray]:
-        params: list[np.ndarray] = []
-        for w1, b1, w2, b2 in self.step_weights:
-            params.extend((w1, b1, w2, b2))
-        for w, b in self.head_weights:
-            params.extend((w, b))
-        return params
+        return [p for layer in [*self.step_weights, *self.head_weights] for p in layer]
 
     def _blocks(self, inputs: np.ndarray) -> list[np.ndarray]:
         k = self.alphabet_size
         return [inputs[:, t * k : (t + 1) * k] for t in range(self.length)]
 
+    def _trunk(self, inputs: np.ndarray) -> tuple[np.ndarray, list[tuple[list, list]]]:
+        """Final carried state, and the (pre, post) activations of every position block."""
+        state = np.tile(self.initial_state, (inputs.shape[0], 1))
+        stacks = []
+        for block, params in zip(self._blocks(inputs), self.step_weights):
+            joint = np.concatenate([state, block], axis=1)
+            stacks.append(_stack_forward(params, ("relu", self.state_activation), joint))
+            state = stacks[-1][1][-1]
+        return state, stacks
+
     def trunk_batch(self, inputs: np.ndarray) -> np.ndarray:
         """Carried state after consuming the whole sequence."""
-        inputs = np.asarray(inputs, dtype=float)
-        state = np.tile(self.initial_state, (inputs.shape[0], 1))
-        for block, (w1, b1, w2, b2) in zip(self._blocks(inputs), self.step_weights):
-            joint = np.concatenate([state, block], axis=1)
-            hidden = np.maximum(joint @ w1.T + b1, 0.0)
-            state = apply_activation(self.state_activation, hidden @ w2.T + b2)
-        return state
+        return self._trunk(np.asarray(inputs, dtype=float))[0]
 
     def head_outputs(self, inputs: np.ndarray) -> list[np.ndarray]:
         """Output after each head layer (last entry is the network output)."""
-        a = self.trunk_batch(inputs)
-        outs = []
-        for (w, b), act in zip(self.head_weights, self.head_activations):
-            a = apply_activation(act, a @ w.T + b)
-            outs.append(a)
-        return outs
+        head = self.parameters[4 * self.length :]
+        return _stack_forward(head, self.head_activations, self.trunk_batch(inputs))[1][1:]
 
     def forward_batch(self, inputs: np.ndarray) -> np.ndarray:
         return self.head_outputs(inputs)[-1]
@@ -257,94 +265,25 @@ class UnrolledNet:
     def loss_and_gradients(
         self, inputs: np.ndarray, targets: np.ndarray, loss: str
     ) -> tuple[float, list[np.ndarray]]:
+        """Mean batch loss and exact reverse-mode gradients, parameter-shaped."""
         inputs = np.asarray(inputs, dtype=float)
         targets = np.asarray(targets, dtype=float)
         _check_batch(inputs, targets, self.input_dim, self.output_dim)
-        batch = inputs.shape[0]
-
-        blocks = self._blocks(inputs)
-        state = np.tile(self.initial_state, (batch, 1))
-        joints: list[np.ndarray] = []
-        hidden_pre: list[np.ndarray] = []
-        hidden_post: list[np.ndarray] = []
-        state_pre: list[np.ndarray] = []
-        states: list[np.ndarray] = [state]
-        for block, (w1, b1, w2, b2) in zip(blocks, self.step_weights):
-            joint = np.concatenate([state, block], axis=1)
-            z1 = joint @ w1.T + b1
-            a1 = np.maximum(z1, 0.0)
-            z2 = a1 @ w2.T + b2
-            state = apply_activation(self.state_activation, z2)
-            joints.append(joint)
-            hidden_pre.append(z1)
-            hidden_post.append(a1)
-            state_pre.append(z2)
-            states.append(state)
-
-        head_pre: list[np.ndarray] = []
-        head_post: list[np.ndarray] = [state]
-        for (w, b), act in zip(self.head_weights, self.head_activations):
-            z = head_post[-1] @ w.T + b
-            head_pre.append(z)
-            head_post.append(apply_activation(act, z))
-
-        value, grad, fused = _loss_and_output_grad(
-            loss, head_pre[-1], head_post[-1], targets, self.head_activations[-1]
-        )
-
-        grads: list[np.ndarray] = [np.empty(0)] * len(self.parameters)
-        n_step_params = 4 * self.length
-        delta = grad if fused else grad * _activation_grad(
-            self.head_activations[-1], head_pre[-1], head_post[-1]
-        )
-        for layer in range(len(self.head_weights) - 1, -1, -1):
-            w, _ = self.head_weights[layer]
-            grads[n_step_params + 2 * layer] = delta.T @ head_post[layer]
-            grads[n_step_params + 2 * layer + 1] = delta.sum(axis=0)
-            delta = delta @ w
-            if layer:
-                delta = delta * _activation_grad(
-                    self.head_activations[layer - 1], head_pre[layer - 1], head_post[layer]
-                )
-
-        d_state = delta  # gradient wrt the final carried state
-        for t in range(self.length - 1, -1, -1):
-            w1, _, w2, _ = self.step_weights[t]
-            dz2 = d_state * _activation_grad(self.state_activation, state_pre[t], states[t + 1])
-            grads[4 * t + 2] = dz2.T @ hidden_post[t]
-            grads[4 * t + 3] = dz2.sum(axis=0)
-            da1 = dz2 @ w2
-            dz1 = da1 * (hidden_pre[t] > 0)
-            grads[4 * t + 0] = dz1.T @ joints[t]
-            grads[4 * t + 1] = dz1.sum(axis=0)
-            d_state = (dz1 @ w1)[:, : self.state_dim]
+        state, stacks = self._trunk(inputs)
+        head = self.parameters[4 * self.length :]
+        pre, post = _stack_forward(head, self.head_activations, state)
+        value, dz = _loss_and_output_grad(loss, pre[-1], post[-1], targets, self.head_activations[-1])
+        grads, dz = _stack_backward(head, self.head_activations, pre, post, dz)
+        d_state = dz @ head[0]  # gradient wrt the final carried state
+        for params, (pre, post) in zip(self.step_weights[::-1], stacks[::-1]):
+            dz = d_state * _activation_grad(self.state_activation, pre[-1], post[-1])
+            block_grads, dz = _stack_backward(params, ("relu", self.state_activation), pre, post, dz)
+            grads[:0] = block_grads
+            d_state = (dz @ params[0])[:, : self.state_dim]
         return value, grads
 
 
 TrainableModel = TrainableMlp | UnrolledNet
-
-
-def forward(model: NetworkSpec | TrainableModel, x: np.ndarray) -> np.ndarray:
-    """Evaluate a compiled network or a trainable model on one input vector."""
-    if isinstance(model, NetworkSpec):
-        return spec_forward(model, x)
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("forward expects a single vector; use forward_batch")
-    return model.forward_batch(x[None, :])[0]
-
-
-def forward_batch(model: NetworkSpec | TrainableModel, inputs: np.ndarray) -> np.ndarray:
-    if isinstance(model, NetworkSpec):
-        return spec_forward_batch(model, inputs)
-    return model.forward_batch(np.asarray(inputs, dtype=float))
-
-
-def loss_and_gradients(
-    model: TrainableModel, inputs: np.ndarray, targets: np.ndarray, loss: str
-) -> tuple[float, list[np.ndarray]]:
-    """Mean batch loss and exact reverse-mode gradients, parameter-shaped."""
-    return model.loss_and_gradients(inputs, targets, loss)
 
 
 @dataclass

@@ -4,6 +4,8 @@ import pytest
 
 from dfanet.cli import main
 
+from test_formats import BAD_LAYERS, ONE_LAYER_TEXT
+
 PARITY_TEXT = """\
 states: even odd
 symbols: 0 1
@@ -77,6 +79,14 @@ def test_malformed_dfa_exits_two(tmp_path, capsys):
                  str(tmp_path / "x.net")]) == 2
     err = capsys.readouterr().err
     assert "line" in err and "missing entry" in err
+
+
+@pytest.mark.parametrize("activation,shape,line", BAD_LAYERS)
+def test_verify_bad_network_document_exits_two(tmp_path, parity_file, capsys, activation, shape, line):
+    net_path = tmp_path / "bad.net"
+    net_path.write_text(ONE_LAYER_TEXT.format(activation=activation, shape=shape))
+    assert main(["verify", str(net_path), str(parity_file), "--length", "1"]) == 2
+    assert f"line {line}" in capsys.readouterr().err
 
 
 def test_verify_budget_refusal_exits_two(tmp_path, parity_file, capsys):

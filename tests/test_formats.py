@@ -176,6 +176,34 @@ def test_network_parse_rejects_truncated_document():
         parse_network_document("\n".join(lines[:-2]))
 
 
+ONE_LAYER_TEXT = """\
+dfanet-network-v1
+input_dim 1
+output_dim 1
+layer_count 1
+layer 0
+activation {activation}
+shape {shape}
+weights
+1.0
+bias 0.0
+"""
+
+# (activation, shape line, line the error must name)
+BAD_LAYERS = [
+    ("tanh", "1 1", 5),  # unknown activation: the layer's own line
+    ("relu", "-1 1", 7),  # negative dim: the shape line
+    ("relu", "1000000000 1000000000", 9),  # a declared shape far beyond the rows given
+]
+
+
+@pytest.mark.parametrize("activation,shape,line", BAD_LAYERS)
+def test_network_parse_rejects_bad_layer_with_its_line(activation, shape, line):
+    with pytest.raises(DocumentError) as excinfo:
+        parse_network_document(ONE_LAYER_TEXT.format(activation=activation, shape=shape))
+    assert excinfo.value.line == line
+
+
 def test_export_dot_deterministic():
     doc = parse_dfa_document(PARITY_TEXT)
     first = export_dot(doc)

@@ -4,16 +4,8 @@ import pytest
 from dfanet.automata import make_parity_dfa
 from dfanet.compiler import build_unrolled_acceptor
 from dfanet.encodings import encode_string
-from dfanet.nn import (
-    AdamState,
-    TrainableMlp,
-    TrainConfig,
-    UnrolledNet,
-    adam_step,
-    forward,
-    loss_and_gradients,
-    train,
-)
+from dfanet.network import forward
+from dfanet.nn import AdamState, TrainableMlp, TrainConfig, UnrolledNet, adam_step, train
 
 
 def finite_difference_grads(model, inputs, targets, loss, h=1e-5):
@@ -50,7 +42,7 @@ def test_forward_on_compiled_spec_and_mlp():
     mlp = TrainableMlp([2, 2], ["identity"], seed=0)
     mlp.weights[0][:] = np.eye(2)
     mlp.biases[0][:] = 0.0
-    assert forward(mlp, np.array([1.5, -2.0])).tolist() == [1.5, -2.0]
+    assert mlp.forward_batch(np.array([[1.5, -2.0]]))[0].tolist() == [1.5, -2.0]
 
 
 def test_init_mlp_shapes_and_count():
@@ -87,7 +79,7 @@ def test_init_mlp_rejects_bad_dims():
 def test_bce_at_zero_weights_is_ln2():
     mlp = TrainableMlp([1, 1], ["sigmoid"], seed=0)
     mlp.weights[0][:] = 0.0
-    value, _ = loss_and_gradients(mlp, np.array([[0.7]]), np.array([[1.0]]), "bce")
+    value, _ = mlp.loss_and_gradients(np.array([[0.7]]), np.array([[1.0]]), "bce")
     assert value == pytest.approx(np.log(2.0), abs=1e-15)
 
 
@@ -95,7 +87,7 @@ def test_mse_perfect_predictions():
     mlp = TrainableMlp([2, 2], ["identity"], seed=0)
     mlp.weights[0][:] = np.eye(2)
     inputs = np.array([[1.0, 2.0], [3.0, -1.0]])
-    value, grads = loss_and_gradients(mlp, inputs, inputs, "mse")
+    value, grads = mlp.loss_and_gradients(inputs, inputs, "mse")
     assert value == 0.0
     assert all(np.all(g == 0.0) for g in grads)
 
@@ -103,13 +95,13 @@ def test_mse_perfect_predictions():
 def test_loss_validation():
     mlp = TrainableMlp([2, 1], ["identity"], seed=0)
     with pytest.raises(ValueError):
-        loss_and_gradients(mlp, np.zeros((0, 2)), np.zeros((0, 1)), "mse")
+        mlp.loss_and_gradients(np.zeros((0, 2)), np.zeros((0, 1)), "mse")
     with pytest.raises(ValueError):
-        loss_and_gradients(mlp, np.zeros((2, 2)), np.zeros((2, 3)), "mse")
+        mlp.loss_and_gradients(np.zeros((2, 2)), np.zeros((2, 3)), "mse")
     with pytest.raises(ValueError):
-        loss_and_gradients(mlp, np.zeros((2, 2)), np.zeros((2, 1)), "bce")  # not sigmoid
+        mlp.loss_and_gradients(np.zeros((2, 2)), np.zeros((2, 1)), "bce")  # not sigmoid
     with pytest.raises(ValueError):
-        loss_and_gradients(mlp, np.zeros((2, 2)), np.zeros((2, 1)), "nll")
+        mlp.loss_and_gradients(np.zeros((2, 2)), np.zeros((2, 1)), "nll")
 
 
 @pytest.mark.parametrize(
@@ -135,17 +127,39 @@ def test_gradients_match_central_differences(activations, loss):
     assert max_relative_error(analytic, numeric) < 1e-4
 
 
-def test_unrolled_gradients_match_central_differences():
+@pytest.mark.parametrize(
+    "head_dims,head_activations,loss,state_activation",
+    [
+        ([1], ["sigmoid"], "bce", "relu"),
+        ([4, 3], ["relu", "sigmoid"], "mse", "identity"),
+        ([2, 3], ["identity", "identity"], "softmax_ce", "relu"),
+    ],
+    ids=["bce-sigmoid-head", "mse-relu-sigmoid-head-identity-state", "softmax_ce-identity-head"],
+)
+def test_unrolled_gradients_match_central_differences(
+    head_dims, head_activations, loss, state_activation
+):
     rng = np.random.default_rng(11)
     model = UnrolledNet(
         state_dim=3, alphabet_size=2, length=2, start_state=0,
-        head_dims=[2, 3], head_activations=["identity", "identity"],
-        seed=9, hidden_width=4,
+        head_dims=head_dims, head_activations=head_activations,
+        seed=9, hidden_width=4, state_activation=state_activation,
     )
+    # the init zeroes the last head layer and every bias, which would zero the gradients
+    # below the head and put pre-activations exactly on the relu kink; draw them all
+    for param in model.parameters:
+        param[...] = rng.normal(scale=0.5, size=param.shape)
     inputs = np.eye(2)[rng.integers(0, 2, (6, 2))].reshape(6, 4)
-    targets = np.eye(3)[rng.integers(0, 3, 6)]
-    _, analytic = model.loss_and_gradients(inputs, targets, "softmax_ce")
-    numeric = finite_difference_grads(model, inputs, targets, "softmax_ce")
+    out_dim = head_dims[-1]
+    if loss == "softmax_ce":
+        targets = np.eye(out_dim)[rng.integers(0, out_dim, 6)]
+    elif loss == "bce":
+        targets = rng.integers(0, 2, (6, out_dim)).astype(float)
+    else:
+        targets = rng.uniform(size=(6, out_dim))
+    _, analytic = model.loss_and_gradients(inputs, targets, loss)
+    assert all(np.any(g != 0.0) for g in analytic[:4])  # the signal reaches the first block
+    numeric = finite_difference_grads(model, inputs, targets, loss)
     assert max_relative_error(analytic, numeric) < 1e-4
 
 
