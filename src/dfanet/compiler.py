@@ -293,18 +293,23 @@ class VerificationReport:
             raise ValueError("exact flag inconsistent with mismatch list")
 
 
-def _check_input_dim(net: NetworkSpec, dfa: Dfa, length: int) -> None:
+def _check_dims(net: NetworkSpec, dfa: Dfa, length: int) -> None:
     k = dfa.alphabet_size
     if net.input_dim != length * k:
         raise ValueError(
             f"network input dim {net.input_dim} does not match length {length} "
             f"over a {k}-symbol alphabet"
         )
+    if net.output_dim < 1:
+        raise ValueError("network has no output unit to read a verdict from")
 
 
 def _compare_on_strings(net: NetworkSpec, dfa: Dfa, strings: np.ndarray) -> list[tuple[tuple[int, ...], bool, bool]]:
     expected = accepts_batch(dfa, strings)
-    outputs = forward_batch(net, encode_strings(strings, dfa.alphabet_size))
+    # inf or nan weights, or an overflow, give inf or nan outputs; the verdict
+    # compares them like any other value (nan reads as "reject"), so no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        outputs = forward_batch(net, encode_strings(strings, dfa.alphabet_size))
     got = outputs[:, 0] > 0.5
     bad = np.flatnonzero(expected != got)
     found = zip(strings[bad].tolist(), expected[bad].tolist(), got[bad].tolist())
@@ -324,7 +329,7 @@ def verify_exact(
     stays bounded). Refuses lengths whose enumeration exceeds ``budget``;
     use sampled verification for those.
     """
-    _check_input_dim(net, dfa, length)
+    _check_dims(net, dfa, length)
     k = dfa.alphabet_size
     total = k**length
     if total > budget:
@@ -355,7 +360,7 @@ def verify_sampled(
     seed: int | tuple[int, ...] = 0,
 ) -> VerificationReport:
     """Spot-check the network on ``count`` uniform strings of ``length``."""
-    _check_input_dim(net, dfa, length)
+    _check_dims(net, dfa, length)
     if count < 1:
         raise ValueError("sample count must be positive")
     rng = np.random.default_rng(seed)

@@ -275,8 +275,10 @@ def parse_network_document(text: str) -> NetworkSpec:
     if parts[0] != "input_dim":
         raise DocumentError(f"expected 'input_dim', found {parts[0]!r}", lineno, 1)
     input_dim = take_int(parts[1:], "input_dim", lineno)
-    output_dim = take_int(reader.expect("output_dim")[0], "output_dim", lineno)
-    layer_count = take_int(reader.expect("layer_count")[0], "layer_count", lineno)
+    tokens, at = reader.expect("output_dim")
+    output_dim = take_int(tokens, "output_dim", at)
+    tokens, at = reader.expect("layer_count")
+    layer_count = take_int(tokens, "layer_count", at)
 
     def parse_floats(tokens: list[str], expected: int, at: int) -> np.ndarray:
         if len(tokens) != expected:

@@ -4,12 +4,21 @@ This is the compilation target: an ordered list of dense affine layers, each
 tagged with an activation. Step layers carry a per-unit threshold and a
 comparison mode (``z >= theta`` by default, strict ``z > theta`` for the
 acceptance readout).
+
+The IR and its file format stay dense, but ``forward_batch`` multiplies only
+each layer's active block: the rows and columns outside the layer's trailing
+identity pass-through (the symbol blocks an unrolled acceptor has not read
+yet). Unread input columns join the computation at the layer that reads them,
+with the skipped layers' effect applied, so the output is the dense loop's: bit
+for bit wherever the sums are exact, as on every compiled network fed encoded
+strings (see ``forward_batch``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from functools import cached_property
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -64,6 +73,30 @@ class LayerSpec:
     def output_dim(self) -> int:
         return self.weights.shape[0]
 
+    @cached_property
+    def passthrough_width(self) -> int:
+        """Width ``w`` of the trailing identity pass-through, computed on first use.
+
+        The last ``w`` rows copy the last ``w`` inputs unchanged: the block they
+        share is the identity, no other entry of those rows or columns is
+        nonzero, and their bias is zero. Only ``relu`` and ``identity`` layers
+        pass values through; every other activation has width 0.
+        """
+        if self.activation not in ("relu", "identity"):
+            return 0
+        w = self.weights
+        rows, cols = w.shape
+        k = min(rows, cols)
+        nonzero = w != 0
+        copies = (  # entry i: row rows-k+i copies input cols-k+i and nothing else does
+            (np.diagonal(w[rows - k:, cols - k:]) == 1.0)
+            & (nonzero[rows - k:].sum(axis=1) == 1)
+            & (nonzero[:, cols - k:].sum(axis=0) == 1)
+            & (self.bias[rows - k:] == 0.0)
+        )
+        broken = np.flatnonzero(~copies)
+        return k - (int(broken[-1]) + 1 if broken.size else 0)
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -98,6 +131,53 @@ class NetworkSpec:
     def parameter_count(self) -> int:
         return sum(l.weights.size + l.bias.size for l in self.layers)
 
+    @cached_property
+    def _plan(self) -> tuple[_Step, ...]:
+        """Each layer's active block, computed on first use.
+
+        A layer skips the part of its pass-through that carries input columns
+        no layer has read yet; the rest of the layer is its active block.
+        """
+        steps = []
+        unread = self.input_dim
+        for layer in self.layers:
+            skip = min(layer.passthrough_width, unread)
+            steps.append(_step(layer, layer.output_dim - skip, layer.input_dim - skip, unread - skip))
+            unread = skip
+        return tuple(steps)
+
+    @cached_property
+    def _dense_plan(self) -> tuple[_Step, ...]:
+        """Every layer whole: the first reads all inputs, the rest none."""
+        reads = [self.input_dim] + [0] * (len(self.layers) - 1)
+        return tuple(
+            _step(layer, layer.output_dim, layer.input_dim, fresh)
+            for layer, fresh in zip(self.layers, reads)
+        )
+
+
+class _Step(NamedTuple):
+    """One layer of a forward plan: its active block and the input columns it reads first."""
+
+    weights: np.ndarray
+    bias: np.ndarray | float
+    thresholds: np.ndarray | None
+    fresh: int
+    gain: float  # largest absolute row sum of the whole layer: |z| <= gain * max|a| + bias_bound
+    bias_bound: float
+
+
+def _step(layer: LayerSpec, rows: int, cols: int, fresh: int) -> _Step:
+    whole = rows == layer.output_dim and cols == layer.input_dim
+    weights = layer.weights if whole else np.ascontiguousarray(layer.weights[:rows, :cols])
+    thresholds = None if layer.thresholds is None else layer.thresholds[:rows]
+    with np.errstate(over="ignore"):  # a gain of inf just sends every batch down the dense plan
+        gain = float(np.abs(layer.weights).sum(axis=1).max(initial=0.0))
+    bias_bound = float(np.abs(layer.bias).max(initial=0.0))
+    # adding the scalar 0.0 is the same elementwise sum as adding a vector of 0.0, and faster
+    bias = 0.0 if bias_bound == 0.0 and not np.signbit(layer.bias).any() else layer.bias[:rows]
+    return _Step(weights, bias, thresholds, fresh, gain, bias_bound)
+
 
 def apply_activation(
     name: str, z: np.ndarray, thresholds: np.ndarray | None = None, strict: bool = False
@@ -121,18 +201,75 @@ def apply_activation(
     raise ValueError(f"unknown activation {name!r}")
 
 
+# Below this bound a sum cannot round up to inf, so every value a layer reads is
+# finite and each skipped zero weight would only have added an exact zero.
+_FINITE_BOUND = 1e300
+
+
+def _stays_finite(plan: tuple[_Step, ...], inputs: np.ndarray) -> bool:
+    """Whether every pre-activation is provably finite, bounding |values| layer by layer."""
+    bound = max(-float(inputs.min(initial=0.0)), float(inputs.max(initial=0.0)))  # nan stays nan
+    for step in plan:
+        bound = step.gain * bound + step.bias_bound
+        if not bound < _FINITE_BOUND:
+            return False
+        bound = max(bound, 1.0)  # sigmoid and step units output up to 1
+    return True
+
+
+def _passed_through(columns: np.ndarray, activations: list[str]) -> np.ndarray:
+    """``columns`` after the identity rows of layers with ``activations``.
+
+    Each such row computes ``act(x * 1 + 0)``: the ``+ 0.0`` turns ``-0.0``
+    into ``0.0``, and relu is idempotent, so one of each is the composition.
+    """
+    if not activations:
+        return columns
+    columns = columns + 0.0
+    if "relu" in activations:
+        np.maximum(columns, 0.0, out=columns)
+    return columns
+
+
 def forward_batch(net: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
-    """Evaluate the network on a batch of row vectors."""
-    a = np.asarray(inputs, dtype=float)
-    if a.ndim != 2:
+    """Evaluate the network on a batch of row vectors.
+
+    Each layer multiplies only its active block (``NetworkSpec._plan``), and
+    the output is the dense ``act(a @ W.T + b)`` loop's: the skipped products
+    are exact zeros, so it is bit for bit the same wherever the sums are exact,
+    as on every compiled network fed encoded strings. Sums of three or more
+    inexact floats may round differently, as the dense loop's own do when the
+    batch size changes, because BLAS picks its kernel by matrix shape. A zero
+    weight times inf is nan, so a batch that might carry a non-finite value
+    into any layer runs every layer whole.
+    """
+    x = np.asarray(inputs, dtype=float)
+    if x.ndim != 2:
         raise ValueError("forward_batch expects a 2-D batch")
-    if a.shape[1] != net.input_dim:
+    if x.shape[1] != net.input_dim:
         raise ValueError(
-            f"input dimension mismatch: network expects {net.input_dim}, got {a.shape[1]}"
+            f"input dimension mismatch: network expects {net.input_dim}, got {x.shape[1]}"
         )
-    for layer in net.layers:
-        z = a @ layer.weights.T + layer.bias
-        a = apply_activation(layer.activation, z, layer.thresholds, layer.strict)
+    plan = net._plan if _stays_finite(net._plan, x) else net._dense_plan
+    a, read, seen = x[:, :0], 0, []
+    passed = {}  # the whole input after the layers so far, made once per composition
+    for layer, step in zip(net.layers, plan):
+        if step.fresh:
+            key = (bool(seen), "relu" in seen)
+            if key not in passed:
+                passed[key] = _passed_through(x, seen)
+            fresh = passed[key][:, read:read + step.fresh]
+            a = np.concatenate([a, fresh], axis=1) if a.shape[1] else fresh
+            read += step.fresh
+        z = a @ step.weights.T
+        z += step.bias
+        if layer.activation == "relu":  # z is this loop's own, so relu may overwrite it
+            a = np.maximum(z, 0.0, out=z)
+        else:
+            a = apply_activation(layer.activation, z, step.thresholds, layer.strict)
+        seen.append(layer.activation)
+    if read < x.shape[1]:
+        a = np.concatenate([a, _passed_through(x[:, read:], seen)], axis=1)
     return a
 
 

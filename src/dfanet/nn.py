@@ -21,6 +21,12 @@ from .network import apply_activation
 LOSSES = ("bce", "mse", "softmax_ce")
 
 
+def _check_trainable(activations: Sequence[str]) -> None:
+    for act in activations:
+        if act not in ("relu", "sigmoid", "identity"):
+            raise ValueError(f"unknown trainable activation {act!r}")
+
+
 def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     if name == "relu":
         return (z > 0).astype(float)
@@ -120,9 +126,7 @@ class TrainableMlp:
             raise ValueError("an MLP needs at least an input and an output dimension")
         if len(activations) != len(dims) - 1:
             raise ValueError("need one activation per layer")
-        for act in activations:
-            if act not in ("relu", "sigmoid", "identity"):
-                raise ValueError(f"unknown trainable activation {act!r}")
+        _check_trainable(activations)
         self.dims = dims
         self.activations = list(activations)
         rng = np.random.default_rng(seed)
@@ -191,6 +195,7 @@ class UnrolledNet:
             raise ValueError("length must be non-negative")
         if len(head_dims) != len(head_activations) or not head_dims:
             raise ValueError("need one activation per head layer, at least one head layer")
+        _check_trainable(head_activations)
         if state_activation not in ("relu", "identity"):
             raise ValueError("state activation must be relu or identity")
         if not 0 <= start_state < state_dim:

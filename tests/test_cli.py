@@ -1,10 +1,15 @@
 import csv
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfanet.cli import main
+from dfanet.formats import DocumentError, parse_dfa_document, parse_network_document
 
-from test_formats import BAD_LAYERS, ONE_LAYER_TEXT
+from test_formats import BAD_LAYERS, ONE_LAYER_TEXT, VALID_NETWORKS, dfa_documents, network_documents
 
 PARITY_TEXT = """\
 states: even odd
@@ -87,6 +92,52 @@ def test_verify_bad_network_document_exits_two(tmp_path, parity_file, capsys, ac
     net_path.write_text(ONE_LAYER_TEXT.format(activation=activation, shape=shape))
     assert main(["verify", str(net_path), str(parity_file), "--length", "1"]) == 2
     assert f"line {line}" in capsys.readouterr().err
+
+
+def run_verify(tmp_path, net_text, dfa_text, length):
+    """``dfanet verify`` on the two texts; returns the exit code and stderr."""
+    net_path, dfa_path = tmp_path / "fuzz.net", tmp_path / "fuzz.dfa"
+    net_path.write_text(net_text)
+    dfa_path.write_text(dfa_text)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["verify", str(net_path), str(dfa_path), "--length", str(length)])
+    return code, err.getvalue()
+
+
+def parses(parse, text):
+    try:
+        parse(text)
+    except DocumentError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(network_documents(), dfa_documents(), st.integers(0, 3))
+def test_verify_fuzzed_documents_exit_cleanly(tmp_path_factory, net_text, dfa_text, length):
+    # any document: exit 0, 1 or 2, never an exception; a parse error is exit 2 with its line
+    code, err = run_verify(tmp_path_factory.mktemp("fuzz"), net_text, dfa_text, length)
+    if not (parses(parse_network_document, net_text) and parses(parse_dfa_document, dfa_text)):
+        assert code == 2 and err.startswith("error: line ")
+    assert code in (0, 1, 2)
+
+
+def test_verify_network_without_outputs_exits_two(tmp_path):
+    text = "dfanet-network-v1\ninput_dim 2\noutput_dim 0\nlayer_count 1\n" \
+           "layer 0\nactivation relu\nshape 0 2\nweights\nbias\n"
+    code, err = run_verify(tmp_path, text, PARITY_TEXT, 1)
+    assert code == 2 and "no output unit" in err
+
+
+def test_verify_network_with_inf_weight_gives_a_verdict_without_warnings(tmp_path):
+    # the readout computes 0 * inf = nan; the repository's warning filter fails any warning
+    readout = "weights\n1.0 0.0\nbias 0.0\n"
+    assert VALID_NETWORKS[0].count(readout) == 1
+    text = VALID_NETWORKS[0].replace(readout, "weights\ninf 0.0\nbias 0.0\n")
+    code, _ = run_verify(tmp_path, text, PARITY_TEXT, 2)
+    # strings ending in the even state read inf (accept), the odd ones nan (reject): parity
+    assert code == 0
 
 
 def test_verify_budget_refusal_exits_two(tmp_path, parity_file, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfanet.automata import make_mod_counter_dfa, make_parity_dfa, random_dfa
 from dfanet.compiler import (
@@ -204,6 +206,14 @@ def test_network_parse_rejects_bad_layer_with_its_line(activation, shape, line):
     assert excinfo.value.line == line
 
 
+@pytest.mark.parametrize("field,line", [("output_dim", 3), ("layer_count", 4)])
+def test_network_parse_names_the_line_of_a_bad_header_count(field, line):
+    text = ONE_LAYER_TEXT.format(activation="relu", shape="1 1").replace(f"{field} 1", f"{field} x")
+    with pytest.raises(DocumentError) as excinfo:
+        parse_network_document(text)
+    assert excinfo.value.line == line
+
+
 def test_export_dot_deterministic():
     doc = parse_dfa_document(PARITY_TEXT)
     first = export_dot(doc)
@@ -219,3 +229,73 @@ def test_export_dot_mod4_counts():
     rendered = export_dot(doc)
     assert rendered.count("[shape=") == 5  # 4 states + start point
     assert rendered.count("label=") >= 8  # 8 labeled edges
+
+
+# tokens that sit near the parsers' edge cases: keywords, numbers that overflow
+# or are not finite, over-long integers, separators and odd whitespace
+FUZZ_TOKENS = st.sampled_from([
+    "0", "1", "-1", "2", "0.5", "-0", "1e999", "nan", "inf", "1_0", "0x10", "9" * 5000,
+    "", "->", ":", "#", "\x00", "\x85", "\u2028", "\x1c", "é", "٣",
+    "states:", "symbols:", "start:", "accept:", "transitions:", "q0", "q1",
+    "meta", "input_dim", "output_dim", "layer_count", "layer", "activation", "relu", "step",
+    "strict", "true", "thresholds", "shape", "weights", "bias",
+]) | st.text(max_size=6)
+
+
+@st.composite
+def mutated_documents(draw, text):
+    """``text`` after a few line deletions, copies, swaps, token swaps, insertions or a cut."""
+    lines = text.split("\n")
+    for _ in range(draw(st.integers(1, 4))):
+        lines = lines or [""]
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["delete", "copy", "swap", "token", "insert", "cut"]))
+        if op == "delete":
+            del lines[i]
+        elif op == "copy":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "token":
+            tokens = lines[i].split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(FUZZ_TOKENS)
+            lines[i] = " ".join(tokens)
+        elif op == "insert":
+            lines.insert(i, " ".join(draw(st.lists(FUZZ_TOKENS, max_size=4))))
+        else:
+            lines = lines[:i]
+    return "\n".join(lines)
+
+
+VALID_NETWORKS = [
+    format_network_document(build_unrolled_acceptor(make_parity_dfa(), 2)),
+    format_network_document(build_binary_threshold_network(make_mod_counter_dfa(3))),
+]
+VALID_DFA = format_dfa_document(DfaDocument.from_dfa(make_mod_counter_dfa(3)))
+
+
+def network_documents():
+    return st.one_of(*[mutated_documents(text) for text in VALID_NETWORKS], st.text(max_size=200))
+
+
+def dfa_documents():
+    return st.one_of(mutated_documents(PARITY_TEXT), mutated_documents(VALID_DFA), st.text(max_size=200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(network_documents())
+def test_network_parser_raises_only_document_errors(text):
+    try:
+        parse_network_document(text)
+    except DocumentError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(dfa_documents())
+def test_dfa_parser_raises_only_document_errors(text):
+    try:
+        parse_dfa_document(text)
+    except DocumentError:
+        pass

@@ -76,6 +76,12 @@ def test_init_mlp_rejects_bad_dims():
         TrainableMlp([3, 2], ["relu", "relu"], seed=0)
 
 
+@pytest.mark.parametrize("head", [["tanh"], ["relu", "step"]])
+def test_unrolled_rejects_unknown_head_activation_at_construction(head):
+    with pytest.raises(ValueError, match="unknown trainable activation"):
+        UnrolledNet(2, 2, 1, 0, [1] * len(head), head, seed=0)
+
+
 def test_bce_at_zero_weights_is_ln2():
     mlp = TrainableMlp([1, 1], ["sigmoid"], seed=0)
     mlp.weights[0][:] = 0.0
