@@ -22,6 +22,7 @@ from .compiler import (
     build_embedding_head,
     build_transition_layer,
     build_unrolled_acceptor,
+    dfa_fingerprint,
     verify_exact,
     verify_sampled,
 )
@@ -101,6 +102,10 @@ def cmd_compile(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     net = parse_network_document(_read(args.network))
     doc = parse_dfa_document(_read(args.dfa))
+    recorded, fingerprint = net.metadata.get("dfa_sha256"), dfa_fingerprint(doc.dfa)
+    if recorded is not None and str(recorded) != fingerprint:
+        print(f"warning: {args.network} was compiled from another automaton "
+              f"(meta dfa_sha256 {recorded}, {args.dfa} has {fingerprint})", file=sys.stderr)
     if args.sampled is not None:
         report = verify_sampled(net, doc.dfa, args.length, count=args.sampled, seed=args.seed)
         mode = "sampled"

@@ -2,20 +2,30 @@
 
 Every pass here is exact by construction: the emitted weights are small
 integers (plus the 0.5 readout threshold), so evaluation in double precision
-reproduces the automaton bit for bit. ``verify_exact`` certifies that claim by
-exhaustive enumeration.
+reproduces the automaton bit for bit. ``verify_exact`` certifies that claim for
+every one of the k^T strings of a length.
+
+It does so without running each string. A layer of ``NetworkSpec._plan`` that
+has read the first t symbol blocks computes a vector, its carrier, that depends
+on the string only through those t symbols, and the unread blocks reach later
+layers unchanged. So ``verify_exact`` walks the plan over the distinct carriers
+only: it merges byte-equal ones, extends each by every symbol block the next
+layer reads, and then runs the automaton and these carrier tables side by side
+over (carrier, state) pairs, the product construction of Hopcroft and Karp.
+Where it cannot walk, it runs every string through ``forward_batch``.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .automata import Dfa, accepts_batch
+from .automata import Dfa, accepts_batch, all_strings
 from .encodings import binary_state_encoding, encode_strings
-from .network import LayerSpec, NetworkSpec, forward_batch
+from .network import LayerSpec, NetworkSpec, _layer_step, _stays_finite, forward_batch
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 24
 
@@ -304,16 +314,112 @@ def _check_dims(net: NetworkSpec, dfa: Dfa, length: int) -> None:
         raise ValueError("network has no output unit to read a verdict from")
 
 
-def _compare_on_strings(net: NetworkSpec, dfa: Dfa, strings: np.ndarray) -> list[tuple[tuple[int, ...], bool, bool]]:
+def _mismatches(dfa: Dfa, strings: np.ndarray, got: np.ndarray) -> list[tuple[tuple[int, ...], bool, bool]]:
+    """The rows of ``strings`` whose network verdict ``got`` differs from the automaton's."""
     expected = accepts_batch(dfa, strings)
+    bad = np.flatnonzero(expected != got)
+    found = zip(strings[bad].tolist(), expected[bad].tolist(), got[bad].tolist())
+    return [(tuple(string), want, have) for string, want, have in found]
+
+
+def _compare_on_strings(net: NetworkSpec, dfa: Dfa, strings: np.ndarray) -> list[tuple[tuple[int, ...], bool, bool]]:
     # inf or nan weights, or an overflow, give inf or nan outputs; the verdict
     # compares them like any other value (nan reads as "reject"), so no warning
     with np.errstate(over="ignore", invalid="ignore"):
         outputs = forward_batch(net, encode_strings(strings, dfa.alphabet_size))
-    got = outputs[:, 0] > 0.5
-    bad = np.flatnonzero(expected != got)
-    found = zip(strings[bad].tolist(), expected[bad].tolist(), got[bad].tolist())
-    return [(tuple(string), want, have) for string, want, have in found]
+    return _mismatches(dfa, strings, outputs[:, 0] > 0.5)
+
+
+class _Walk(NamedTuple):
+    """A network's verdicts over symbol strings, through its distinct carriers.
+
+    Carriers are numbered per stage, where a stage is a layer that reads fresh
+    symbol blocks. ``tables[s][c, j]`` is the carrier that carrier ``c`` becomes
+    once stage ``s`` has read the ``blocks[s]`` symbols numbered ``j`` (base k,
+    first symbol most significant) and the layers up to the next stage have
+    run. The walk starts from carrier 0; ``verdicts`` are the final carriers'.
+    """
+
+    tables: list[np.ndarray]
+    blocks: list[int]
+    verdicts: np.ndarray
+
+
+def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows, byte-equal ones merged, and each row's index among them."""
+    if rows.shape[1] == 0:
+        return rows[:1], np.zeros(len(rows), dtype=np.int64)
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], index
+
+
+def _walk(net: NetworkSpec, k: int, limit: int) -> _Walk | None:
+    """Walk ``net._plan`` over the distinct carriers; None where it cannot.
+
+    It cannot when a layer reads part of a symbol block, when the output passes
+    input columns through, when the plan may not stay finite on inputs in
+    [0, 1] (``forward_batch`` would then run every layer whole), or when one
+    stage would hold more than ``limit`` carrier-symbol rows.
+    """
+    plan = net._plan
+    reads = [step.fresh for step in plan]
+    if any(r % k for r in reads) or sum(reads) < net.input_dim or not _stays_finite(plan, np.ones((1, 1))):
+        return None
+    carriers, tables, blocks, seen = np.zeros((1, 0)), [], [], []
+    encoded = {}  # symbol blocks -> every string of that many symbols, one-hot encoded
+    for layer, step in zip(net.layers, plan):
+        fresh = carriers[:, :0]
+        if step.fresh:
+            if blocks:
+                carriers, index = _distinct(carriers)
+                tables.append(index.reshape(-1, k ** blocks[-1]))
+            b = step.fresh // k
+            blocks.append(b)
+            if len(carriers) * k**b > limit:
+                return None
+            if b not in encoded:
+                encoded[b] = np.eye(k)[all_strings(k, b)].reshape(k**b, step.fresh)
+            fresh = np.tile(encoded[b], (len(carriers), 1))
+            carriers = np.repeat(carriers, k**b, axis=0)
+        carriers = _layer_step(layer, step, carriers, fresh, seen)
+        seen.append(layer.activation)
+    if blocks:
+        carriers, index = _distinct(carriers)
+        tables.append(index.reshape(-1, k ** blocks[-1]))
+    return _Walk(tables, blocks, carriers[:, 0] > 0.5)
+
+
+def _walk_disagrees(walk: _Walk, dfa: Dfa) -> bool:
+    """Whether some string leads to a carrier and a state whose verdicts differ."""
+    n, k = dfa.state_count, dfa.alphabet_size
+    reach = np.zeros((1, n), dtype=bool)
+    reach[0, dfa.start_state] = True
+    after = {}  # symbol blocks b -> [q, j]: the state q goes to on the b symbols numbered j
+    for table, b in zip(walk.tables, walk.blocks):
+        if b not in after:
+            after[b] = np.repeat(np.arange(n)[:, None], k**b, axis=1)
+            for column in all_strings(k, b).T:
+                after[b] = dfa.transitions[after[b], column]
+        carriers, states = np.nonzero(reach)
+        reach = np.zeros((int(table.max()) + 1, n), dtype=bool)
+        reach[table[carriers].ravel(), after[b][states].ravel()] = True
+    accepting = np.zeros(n, dtype=bool)
+    accepting[list(dfa.accepting)] = True
+    carriers, states = np.nonzero(reach)
+    return bool((walk.verdicts[carriers] != accepting[states]).any())
+
+
+def _walk_verdicts(walk: _Walk, strings: np.ndarray, k: int) -> np.ndarray:
+    """The network verdict on each row of ``strings``, read from the walk's tables."""
+    carriers = np.zeros(len(strings), dtype=np.int64)
+    read = 0
+    for table, b in zip(walk.tables, walk.blocks):
+        symbols = strings[:, read:read + b] @ (k ** np.arange(b - 1, -1, -1, dtype=np.int64))
+        carriers = table[carriers, symbols]
+        read += b
+    return walk.verdicts[carriers]
 
 
 def verify_exact(
@@ -325,9 +431,26 @@ def verify_exact(
 ) -> VerificationReport:
     """Compare the network verdict to the automaton on every string of ``length``.
 
-    Enumerates all k^T strings in lexicographic order (chunked, so memory
-    stays bounded). Refuses lengths whose enumeration exceeds ``budget``;
-    use sampled verification for those.
+    The verdict on a string is output column 0 > 0.5. ``verify_exact`` first
+    walks the network's plan over its distinct carriers (see the module
+    docstring) and runs the automaton alongside; when no reachable (carrier,
+    state) pair disagrees, the network is exact and no string is enumerated.
+    Otherwise every mismatch is listed, in lexicographic order, by reading each
+    string's verdict from the walk's carrier tables, chunk by chunk.
+
+    The walk is sound because it runs the same layer arithmetic as
+    ``forward_batch`` on the same values: byte-equal carriers give byte-equal
+    results, and every string reaches the carrier of its prefix. Its verdicts
+    equal enumeration's bit for bit wherever the sums are exact, as on every
+    network the builders emit. On a float network a verdict within rounding of
+    0.5 can differ, as it already does between enumeration chunk shapes.
+
+    It falls back to running all k^T strings through ``forward_batch`` (in
+    chunks, so memory stays bounded) when a layer reads part of a symbol block,
+    the output passes input columns through, the plan might not stay finite on
+    inputs in [0, 1], or one stage's carriers times its symbol blocks exceed
+    ``chunk_size``. Refuses lengths whose enumeration exceeds ``budget``; use
+    sampled verification for those.
     """
     _check_dims(net, dfa, length)
     k = dfa.alphabet_size
@@ -337,6 +460,9 @@ def verify_exact(
             f"{k}^{length} = {total} strings exceeds the enumeration budget {budget}; "
             "use sampled verification"
         )
+    walk = _walk(net, k, chunk_size)
+    if walk is not None and not _walk_disagrees(walk, dfa):
+        return VerificationReport(total_strings=total, mismatches=(), exact=True)
     mismatches: list[tuple[tuple[int, ...], bool, bool]] = []
     powers = k ** np.arange(length - 1, -1, -1, dtype=np.int64) if length else None
     for start in range(0, total, chunk_size):
@@ -346,7 +472,10 @@ def verify_exact(
             strings = np.zeros((1, 0), dtype=np.int64)
         else:
             strings = (indices[:, None] // powers[None, :]) % k
-        mismatches.extend(_compare_on_strings(net, dfa, strings))
+        if walk is None:
+            mismatches.extend(_compare_on_strings(net, dfa, strings))
+        else:
+            mismatches.extend(_mismatches(dfa, strings, _walk_verdicts(walk, strings, k)))
     return VerificationReport(
         total_strings=total, mismatches=tuple(mismatches), exact=not mismatches
     )
@@ -359,13 +488,18 @@ def verify_sampled(
     count: int,
     seed: int | tuple[int, ...] = 0,
 ) -> VerificationReport:
-    """Spot-check the network on ``count`` uniform strings of ``length``."""
+    """Spot-check the network on ``count`` uniform strings of ``length``.
+
+    ``mismatches`` holds one entry per draw whose verdict differs, sorted, so a
+    string drawn twice is listed twice and ``total_strings - len(mismatches)``
+    draws matched.
+    """
     _check_dims(net, dfa, length)
     if count < 1:
         raise ValueError("sample count must be positive")
     rng = np.random.default_rng(seed)
     strings = rng.integers(0, dfa.alphabet_size, size=(count, length))
-    mismatches = sorted(set(_compare_on_strings(net, dfa, strings)))
+    mismatches = sorted(_compare_on_strings(net, dfa, strings))
     return VerificationReport(
         total_strings=count, mismatches=tuple(mismatches), exact=not mismatches
     )

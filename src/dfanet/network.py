@@ -231,6 +231,22 @@ def _passed_through(columns: np.ndarray, activations: list[str]) -> np.ndarray:
     return columns
 
 
+def _layer_step(layer: LayerSpec, step: _Step, a: np.ndarray, fresh: np.ndarray, seen: list[str]) -> np.ndarray:
+    """``layer``'s active block on ``a`` joined by the ``step.fresh`` columns of ``fresh``.
+
+    ``fresh`` holds the input columns the layer reads first, as they entered the
+    network; ``seen`` names the activations of the layers they passed through.
+    """
+    if step.fresh:
+        fresh = _passed_through(fresh, seen)
+        a = np.concatenate([a, fresh], axis=1) if a.shape[1] else fresh
+    z = a @ step.weights.T
+    z += step.bias
+    if layer.activation == "relu":  # z is this step's own, so relu may overwrite it
+        return np.maximum(z, 0.0, out=z)
+    return apply_activation(layer.activation, z, step.thresholds, layer.strict)
+
+
 def forward_batch(net: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
     """Evaluate the network on a batch of row vectors.
 
@@ -252,21 +268,9 @@ def forward_batch(net: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
         )
     plan = net._plan if _stays_finite(net._plan, x) else net._dense_plan
     a, read, seen = x[:, :0], 0, []
-    passed = {}  # the whole input after the layers so far, made once per composition
     for layer, step in zip(net.layers, plan):
-        if step.fresh:
-            key = (bool(seen), "relu" in seen)
-            if key not in passed:
-                passed[key] = _passed_through(x, seen)
-            fresh = passed[key][:, read:read + step.fresh]
-            a = np.concatenate([a, fresh], axis=1) if a.shape[1] else fresh
-            read += step.fresh
-        z = a @ step.weights.T
-        z += step.bias
-        if layer.activation == "relu":  # z is this loop's own, so relu may overwrite it
-            a = np.maximum(z, 0.0, out=z)
-        else:
-            a = apply_activation(layer.activation, z, step.thresholds, layer.strict)
+        a = _layer_step(layer, step, a, x[:, read:read + step.fresh], seen)
+        read += step.fresh
         seen.append(layer.activation)
     if read < x.shape[1]:
         a = np.concatenate([a, _passed_through(x[:, read:], seen)], axis=1)

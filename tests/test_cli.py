@@ -77,6 +77,29 @@ def test_verify_corrupted_network_exits_one(tmp_path, parity_file, capsys):
     assert "witness" in out
 
 
+def test_verify_sampled_counts_matching_draws(tmp_path, parity_file, capsys):
+    # both readout weights inverted: every draw of every string mismatches
+    net_path = tmp_path / "inverted.net"
+    main(["compile", str(parity_file), "--target", "unrolled", "--length", "2", "--out", str(net_path)])
+    net_path.write_text(net_path.read_text().replace("weights\n1.0 0.0\nbias 0.0\n", "weights\n0.0 1.0\nbias 0.0\n"))
+    capsys.readouterr()
+    assert main(["verify", str(net_path), str(parity_file), "--length", "2", "--sampled", "200"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "0/200 sampled checks match"
+
+
+@pytest.mark.parametrize("accept,warned", [("even", False), ("odd", True)])
+def test_verify_warns_on_stderr_when_the_automaton_differs(tmp_path, parity_file, capsys, accept, warned):
+    net_path, dfa_path = tmp_path / "parity3.net", tmp_path / "given.dfa"
+    main(["compile", str(parity_file), "--target", "unrolled", "--length", "3", "--out", str(net_path)])
+    dfa_path.write_text(PARITY_TEXT.replace("accept: even", f"accept: {accept}"))
+    capsys.readouterr()
+    code = main(["verify", str(net_path), str(dfa_path), "--length", "3"])
+    out, err = capsys.readouterr()
+    assert code == (1 if warned else 0)
+    assert out.splitlines()[0] == ("0/8" if warned else "8/8") + " exhaustive checks match"
+    assert (err.startswith("warning: ") and "dfa_sha256" in err) if warned else err == ""
+
+
 def test_malformed_dfa_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.dfa"
     bad.write_text(PARITY_TEXT.replace("  odd 1 -> even\n", ""))

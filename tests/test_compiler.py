@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dfanet.automata import make_mod_counter_dfa, random_dfa
+import dfanet.compiler
+from dfanet.automata import accepts_batch, all_strings, make_mod_counter_dfa, random_dfa
 from dfanet.compiler import (
     EnumerationBudgetError,
     ProjectionError,
@@ -15,10 +18,10 @@ from dfanet.compiler import (
     verify_exact,
     verify_sampled,
 )
-from dfanet.encodings import binary_state_encoding, encode_string, one_hot
-from dfanet.network import LayerSpec, NetworkSpec, forward
+from dfanet.encodings import binary_state_encoding, encode_string, encode_strings, one_hot
+from dfanet.network import LayerSpec, NetworkSpec, forward, forward_batch
 
-from conftest import plain_accepts, plain_fold
+from conftest import dfas, plain_accepts, plain_fold
 
 
 def transition_input(dfa, state, symbol):
@@ -281,3 +284,114 @@ def test_unrolled_exact_for_counter_family_sample():
         for length in (0, 1, 5, 9):
             report = verify_exact(build_unrolled_acceptor(counter, length), counter, length)
             assert report.exact, f"n={n} T={length}"
+
+
+def enumerated_report(net, dfa, length):
+    """``(total_strings, mismatches, exact)`` from every string through ``forward_batch``."""
+    strings = all_strings(dfa.alphabet_size, length)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = forward_batch(net, encode_strings(strings, dfa.alphabet_size))[:, 0] > 0.5
+    expected = accepts_batch(dfa, strings)
+    mismatches = tuple(
+        (tuple(strings[i].tolist()), bool(expected[i]), bool(got[i])) for i in np.flatnonzero(got != expected)
+    )
+    return len(strings), mismatches, not mismatches
+
+
+def with_layer(net, index, **changes):
+    layer = net.layers[index]
+    fields = dict(weights=layer.weights, bias=layer.bias, activation=layer.activation,
+                  thresholds=layer.thresholds, strict=layer.strict)
+    layers = list(net.layers)
+    layers[index] = LayerSpec(**{**fields, **changes})
+    return NetworkSpec(tuple(layers), net.input_dim, net.output_dim, dict(net.metadata))
+
+
+def flipped_readout(net, state):
+    readout = net.layers[-1]
+    if readout.input_dim == 0:  # T=0: the start state's verdict sits in the bias
+        return with_layer(net, -1, bias=1.0 - readout.bias)
+    weights = readout.weights.copy()
+    weights[0, state] = 1.0 - weights[0, state]
+    return with_layer(net, -1, weights=weights)
+
+
+def corrupted_weight(net, draw):
+    """One hidden or readout weight (or, with no weights, a bias) moved by +-1 or +0.5."""
+    index = draw(st.sampled_from([i for i, layer in enumerate(net.layers) if layer.weights.size] or [0]))
+    layer, delta = net.layers[index], draw(st.sampled_from([1.0, -1.0, 0.5]))
+    if not layer.weights.size:
+        return with_layer(net, index, bias=layer.bias + delta)
+    weights = layer.weights.copy()
+    weights[draw(st.integers(0, weights.shape[0] - 1)), draw(st.integers(0, weights.shape[1] - 1))] += delta
+    return with_layer(net, index, weights=weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dfas(max_states=5, max_symbols=3), st.integers(0, 7), st.data())
+def test_verify_exact_matches_enumeration(dfa, length, data):
+    n = dfa.state_count
+    acceptor = build_unrolled_acceptor(dfa, length)
+    nets = [
+        acceptor,
+        build_embedding_head(dfa, length),
+        flipped_readout(acceptor, data.draw(st.integers(0, n - 1))),
+        corrupted_weight(acceptor, data.draw),
+        corrupted_weight(build_embedding_head(dfa, length), data.draw),
+    ]
+    if n >= 2:
+        projection, _ = build_compressed_embedding(dfa, seed=data.draw(st.integers(0, 2**32 - 1)))
+        nets.append(build_embedding_head(dfa, length, head=projection))
+    for net in nets:
+        report = verify_exact(net, dfa, length)
+        assert (report.total_strings, report.mismatches, report.exact) == enumerated_report(net, dfa, length)
+
+
+def counting_forward_batch(monkeypatch):
+    calls = []
+
+    def counted(net, inputs):
+        calls.append(len(inputs))
+        return forward_batch(net, inputs)
+
+    monkeypatch.setattr(dfanet.compiler, "forward_batch", counted)
+    return calls
+
+
+def test_verify_exact_enumerates_a_net_with_an_inf_weight(parity, monkeypatch):
+    readout = build_unrolled_acceptor(parity, 3).layers[-1]
+    net = with_layer(build_unrolled_acceptor(parity, 3), -1, weights=readout.weights * [[np.inf, 1.0]])
+    calls = counting_forward_batch(monkeypatch)
+    report = verify_exact(net, parity, 3)
+    assert calls == [8]
+    # even-state strings read inf (accept), odd ones nan (reject): parity again
+    assert report.exact and (report.total_strings, report.mismatches, report.exact) == enumerated_report(net, parity, 3)
+
+
+def test_verify_exact_enumerates_a_net_that_reads_half_a_symbol_block(parity, monkeypatch):
+    net = build_unrolled_acceptor(parity, 3)
+    weights = net.layers[0].weights.copy()
+    weights[2 * 2, 2] = 2.0  # the pass-through of block 1's first column doubles it
+    net = with_layer(net, 0, weights=weights)
+    assert net._plan[0].fresh == 3  # block 0 and half of block 1
+    calls = counting_forward_batch(monkeypatch)
+    report = verify_exact(net, parity, 3)
+    assert calls == [8]
+    assert not report.exact
+    assert (report.total_strings, report.mismatches, report.exact) == enumerated_report(net, parity, 3)
+
+
+@pytest.mark.parametrize("make", [build_unrolled_acceptor, build_embedding_head], ids=["acceptor", "embedding"])
+def test_verify_exact_walks_compiled_nets_without_a_forward_pass(make, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("verify_exact enumerated a walkable network")
+
+    monkeypatch.setattr(dfanet.compiler, "encode_strings", refuse)
+    monkeypatch.setattr(dfanet.compiler, "forward_batch", refuse)
+    for dfa in (make_mod_counter_dfa(2), make_mod_counter_dfa(4), random_dfa(5, 3, seed=1)):
+        for length in (0, 1, 6):
+            net = make(dfa, length)
+            verify_exact(net, dfa, length)
+            report = verify_exact(flipped_readout(net, 0), dfa, length)  # mismatches listed from the tables
+            assert report.total_strings == dfa.alphabet_size**length
+    assert verify_exact(build_unrolled_acceptor(make_mod_counter_dfa(4), 12), make_mod_counter_dfa(4), 12).exact
