@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .compiler import (
-    EnumerationBudgetError,
     DEFAULT_ENUMERATION_BUDGET,
     ProjectionError,
     build_binary_threshold_network,
@@ -81,9 +81,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
             seed=args.seed,
             achieved_min_distance=achieved,
         )
-        net = type(net)(
-            layers=net.layers, input_dim=net.input_dim, output_dim=net.output_dim, metadata=meta
-        )
+        net = dataclasses.replace(net, metadata=meta)
         print(f"projection separation: {achieved!r} (epsilon {args.epsilon})")
 
     out_path = Path(args.out) if args.out else Path(args.dfa).with_suffix(f".{args.target}.net")
@@ -256,16 +254,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except EnumerationBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except ProjectionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MISMATCH_ERROR
-    except ValueError as exc:
+    except ValueError as exc:  # also DocumentError and EnumerationBudgetError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

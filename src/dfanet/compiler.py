@@ -8,11 +8,12 @@ every one of the k^T strings of a length.
 It does so without running each string. A layer of ``NetworkSpec._plan`` that
 has read the first t symbol blocks computes a vector, its carrier, that depends
 on the string only through those t symbols, and the unread blocks reach later
-layers unchanged. So ``verify_exact`` walks the plan over the distinct carriers
-only: it merges byte-equal ones, extends each by every symbol block the next
-layer reads, and then runs the automaton and these carrier tables side by side
-over (carrier, state) pairs, the product construction of Hopcroft and Karp.
-Where it cannot walk, it runs every string through ``forward_batch``.
+layers unchanged. So ``verify_exact`` walks the plan and the automaton together
+over the distinct (carrier, state) pairs, the product construction of Hopcroft
+and Karp: it merges byte-equal pairs and extends each by every symbol block the
+next layer reads, moving the carrier through the layers and the state through
+the symbols. Where it cannot walk, it runs every string through
+``forward_batch``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .encodings import binary_state_encoding, encode_strings
 from .network import LayerSpec, NetworkSpec, _layer_step, _stays_finite, forward_batch
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 24
+_CHUNK = 1 << 16  # strings per enumeration chunk, and the most rows one walk stage may hold
 
 
 class ProjectionError(RuntimeError):
@@ -268,8 +270,8 @@ def build_compressed_embedding(
     n = dfa.state_count
     if n < 2:
         raise ValueError("compression needs at least two states to separate")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:  # also refuses nan
+        raise ValueError("epsilon must be positive and finite")
     d = int(np.ceil(np.log2(n))) + 1
     rng = np.random.default_rng(seed)
     best = -np.inf
@@ -314,9 +316,10 @@ def _check_dims(net: NetworkSpec, dfa: Dfa, length: int) -> None:
         raise ValueError("network has no output unit to read a verdict from")
 
 
-def _mismatches(dfa: Dfa, strings: np.ndarray, got: np.ndarray) -> list[tuple[tuple[int, ...], bool, bool]]:
-    """The rows of ``strings`` whose network verdict ``got`` differs from the automaton's."""
-    expected = accepts_batch(dfa, strings)
+def _mismatches(
+    strings: np.ndarray, expected: np.ndarray, got: np.ndarray
+) -> list[tuple[tuple[int, ...], bool, bool]]:
+    """The rows of ``strings`` whose network verdict ``got`` differs from the automaton's ``expected``."""
     bad = np.flatnonzero(expected != got)
     found = zip(strings[bad].tolist(), expected[bad].tolist(), got[bad].tolist())
     return [(tuple(string), want, have) for string, want, have in found]
@@ -327,99 +330,84 @@ def _compare_on_strings(net: NetworkSpec, dfa: Dfa, strings: np.ndarray) -> list
     # compares them like any other value (nan reads as "reject"), so no warning
     with np.errstate(over="ignore", invalid="ignore"):
         outputs = forward_batch(net, encode_strings(strings, dfa.alphabet_size))
-    return _mismatches(dfa, strings, outputs[:, 0] > 0.5)
+    return _mismatches(strings, accepts_batch(dfa, strings), outputs[:, 0] > 0.5)
 
 
 class _Walk(NamedTuple):
-    """A network's verdicts over symbol strings, through its distinct carriers.
+    """A network and its automaton over symbol strings, through their distinct (carrier, state) pairs.
 
-    Carriers are numbered per stage, where a stage is a layer that reads fresh
-    symbol blocks. ``tables[s][c, j]`` is the carrier that carrier ``c`` becomes
-    once stage ``s`` has read the ``blocks[s]`` symbols numbered ``j`` (base k,
-    first symbol most significant) and the layers up to the next stage have
-    run. The walk starts from carrier 0; ``verdicts`` are the final carriers'.
+    Pairs are numbered per stage, where a stage is a layer that reads fresh
+    symbol blocks. ``tables[s][p, j]`` is the pair that pair ``p`` becomes once
+    stage ``s`` has read the ``blocks[s]`` symbols numbered ``j`` (base k, first
+    symbol most significant) and the layers up to the next stage have run. The
+    walk starts from pair 0, the start state; ``verdicts`` and ``accepted`` are
+    the final pairs' network and automaton verdicts.
     """
 
     tables: list[np.ndarray]
     blocks: list[int]
     verdicts: np.ndarray
+    accepted: np.ndarray
 
 
-def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows, byte-equal ones merged, and each row's index among them."""
-    if rows.shape[1] == 0:
-        return rows[:1], np.zeros(len(rows), dtype=np.int64)
-    rows = np.ascontiguousarray(rows)
+def _distinct(carriers: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (carrier, state) rows, byte-equal ones merged, and each row's index among them."""
+    rows = np.concatenate([carriers, states[:, None]], axis=1)  # state indices are exact as floats
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    return rows[first], index
+    return carriers[first], states[first], index
 
 
-def _walk(net: NetworkSpec, k: int, limit: int) -> _Walk | None:
-    """Walk ``net._plan`` over the distinct carriers; None where it cannot.
+def _walk(net: NetworkSpec, dfa: Dfa, limit: int) -> _Walk | None:
+    """Walk ``net._plan`` and ``dfa`` together over the distinct pairs; None where it cannot.
 
     It cannot when a layer reads part of a symbol block, when the output passes
     input columns through, when the plan may not stay finite on inputs in
     [0, 1] (``forward_batch`` would then run every layer whole), or when one
-    stage would hold more than ``limit`` carrier-symbol rows.
+    stage would hold more than ``limit`` pair-symbol rows.
     """
+    k = dfa.alphabet_size
     plan = net._plan
     reads = [step.fresh for step in plan]
     if any(r % k for r in reads) or sum(reads) < net.input_dim or not _stays_finite(plan, np.ones((1, 1))):
         return None
-    carriers, tables, blocks, seen = np.zeros((1, 0)), [], [], []
-    encoded = {}  # symbol blocks -> every string of that many symbols, one-hot encoded
+    carriers, states = np.zeros((1, 0)), np.array([dfa.start_state])
+    tables, blocks, seen = [], [], []
     for layer, step in zip(net.layers, plan):
         fresh = carriers[:, :0]
         if step.fresh:
             if blocks:
-                carriers, index = _distinct(carriers)
+                carriers, states, index = _distinct(carriers, states)
                 tables.append(index.reshape(-1, k ** blocks[-1]))
             b = step.fresh // k
             blocks.append(b)
             if len(carriers) * k**b > limit:
                 return None
-            if b not in encoded:
-                encoded[b] = np.eye(k)[all_strings(k, b)].reshape(k**b, step.fresh)
-            fresh = np.tile(encoded[b], (len(carriers), 1))
+            symbols = np.tile(all_strings(k, b), (len(carriers), 1))
+            fresh = np.eye(k)[symbols].reshape(len(symbols), step.fresh)
             carriers = np.repeat(carriers, k**b, axis=0)
+            states = np.repeat(states, k**b)
+            for column in symbols.T:
+                states = dfa.transitions[states, column]
         carriers = _layer_step(layer, step, carriers, fresh, seen)
         seen.append(layer.activation)
+    carriers, states, index = _distinct(carriers, states)
     if blocks:
-        carriers, index = _distinct(carriers)
         tables.append(index.reshape(-1, k ** blocks[-1]))
-    return _Walk(tables, blocks, carriers[:, 0] > 0.5)
-
-
-def _walk_disagrees(walk: _Walk, dfa: Dfa) -> bool:
-    """Whether some string leads to a carrier and a state whose verdicts differ."""
-    n, k = dfa.state_count, dfa.alphabet_size
-    reach = np.zeros((1, n), dtype=bool)
-    reach[0, dfa.start_state] = True
-    after = {}  # symbol blocks b -> [q, j]: the state q goes to on the b symbols numbered j
-    for table, b in zip(walk.tables, walk.blocks):
-        if b not in after:
-            after[b] = np.repeat(np.arange(n)[:, None], k**b, axis=1)
-            for column in all_strings(k, b).T:
-                after[b] = dfa.transitions[after[b], column]
-        carriers, states = np.nonzero(reach)
-        reach = np.zeros((int(table.max()) + 1, n), dtype=bool)
-        reach[table[carriers].ravel(), after[b][states].ravel()] = True
-    accepting = np.zeros(n, dtype=bool)
+    accepting = np.zeros(dfa.state_count, dtype=bool)
     accepting[list(dfa.accepting)] = True
-    carriers, states = np.nonzero(reach)
-    return bool((walk.verdicts[carriers] != accepting[states]).any())
+    return _Walk(tables, blocks, carriers[:, 0] > 0.5, accepting[states])
 
 
-def _walk_verdicts(walk: _Walk, strings: np.ndarray, k: int) -> np.ndarray:
-    """The network verdict on each row of ``strings``, read from the walk's tables."""
-    carriers = np.zeros(len(strings), dtype=np.int64)
+def _final_pairs(walk: _Walk, strings: np.ndarray, k: int) -> np.ndarray:
+    """The final pair of each row of ``strings``, read from the walk's tables."""
+    pairs = np.zeros(len(strings), dtype=np.int64)
     read = 0
     for table, b in zip(walk.tables, walk.blocks):
         symbols = strings[:, read:read + b] @ (k ** np.arange(b - 1, -1, -1, dtype=np.int64))
-        carriers = table[carriers, symbols]
+        pairs = table[pairs, symbols]
         read += b
-    return walk.verdicts[carriers]
+    return pairs
 
 
 def verify_exact(
@@ -427,20 +415,20 @@ def verify_exact(
     dfa: Dfa,
     length: int,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-    chunk_size: int = 1 << 16,
 ) -> VerificationReport:
     """Compare the network verdict to the automaton on every string of ``length``.
 
-    The verdict on a string is output column 0 > 0.5. ``verify_exact`` first
-    walks the network's plan over its distinct carriers (see the module
-    docstring) and runs the automaton alongside; when no reachable (carrier,
-    state) pair disagrees, the network is exact and no string is enumerated.
+    The verdict on a string is output column 0 > 0.5. ``verify_exact`` walks
+    the network's plan and the automaton together over their distinct
+    (carrier, state) pairs (see the module docstring); when no final pair's
+    verdicts differ, the network is exact and no string is enumerated.
     Otherwise every mismatch is listed, in lexicographic order, by reading each
-    string's verdict from the walk's carrier tables, chunk by chunk.
+    string's final pair from the walk's tables, chunk by chunk, and taking both
+    verdicts from it.
 
     The walk is sound because it runs the same layer arithmetic as
     ``forward_batch`` on the same values: byte-equal carriers give byte-equal
-    results, and every string reaches the carrier of its prefix. Its verdicts
+    results, and every string reaches the pair of its prefix. Its verdicts
     equal enumeration's bit for bit wherever the sums are exact, as on every
     network the builders emit. On a float network a verdict within rounding of
     0.5 can differ, as it already does between enumeration chunk shapes.
@@ -448,9 +436,9 @@ def verify_exact(
     It falls back to running all k^T strings through ``forward_batch`` (in
     chunks, so memory stays bounded) when a layer reads part of a symbol block,
     the output passes input columns through, the plan might not stay finite on
-    inputs in [0, 1], or one stage's carriers times its symbol blocks exceed
-    ``chunk_size``. Refuses lengths whose enumeration exceeds ``budget``; use
-    sampled verification for those.
+    inputs in [0, 1], or one stage's pairs times its symbol blocks exceed one
+    chunk. Refuses lengths whose enumeration exceeds ``budget``; use sampled
+    verification for those.
     """
     _check_dims(net, dfa, length)
     k = dfa.alphabet_size
@@ -460,22 +448,18 @@ def verify_exact(
             f"{k}^{length} = {total} strings exceeds the enumeration budget {budget}; "
             "use sampled verification"
         )
-    walk = _walk(net, k, chunk_size)
-    if walk is not None and not _walk_disagrees(walk, dfa):
+    walk = _walk(net, dfa, _CHUNK)
+    if walk is not None and np.array_equal(walk.verdicts, walk.accepted):
         return VerificationReport(total_strings=total, mismatches=(), exact=True)
     mismatches: list[tuple[tuple[int, ...], bool, bool]] = []
-    powers = k ** np.arange(length - 1, -1, -1, dtype=np.int64) if length else None
-    for start in range(0, total, chunk_size):
-        stop = min(start + chunk_size, total)
-        indices = np.arange(start, stop, dtype=np.int64)
-        if length == 0:
-            strings = np.zeros((1, 0), dtype=np.int64)
-        else:
-            strings = (indices[:, None] // powers[None, :]) % k
+    powers = k ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    for start in range(0, total, _CHUNK):
+        strings = (np.arange(start, min(start + _CHUNK, total), dtype=np.int64)[:, None] // powers) % k
         if walk is None:
             mismatches.extend(_compare_on_strings(net, dfa, strings))
         else:
-            mismatches.extend(_mismatches(dfa, strings, _walk_verdicts(walk, strings, k)))
+            pairs = _final_pairs(walk, strings, k)
+            mismatches.extend(_mismatches(strings, walk.accepted[pairs], walk.verdicts[pairs]))
     return VerificationReport(
         total_strings=total, mismatches=tuple(mismatches), exact=not mismatches
     )

@@ -180,6 +180,13 @@ def test_compressed_target_requires_length(tmp_path, parity_file, capsys):
                  "--out", str(tmp_path / "c.net")]) == 2
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_compressed_target_rejects_a_non_finite_epsilon(tmp_path, parity_file, capsys, epsilon):
+    assert main(["compile", str(parity_file), "--target", "compressed", "--length", "3",
+                 "--epsilon", epsilon, "--out", str(tmp_path / "c.net")]) == 2
+    assert "positive and finite" in capsys.readouterr().err
+
+
 def test_export_dot_roundtrip(tmp_path, parity_file, capsys):
     assert main(["export-dot", str(parity_file)]) == 0
     first = capsys.readouterr().out

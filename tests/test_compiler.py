@@ -381,6 +381,16 @@ def test_verify_exact_enumerates_a_net_that_reads_half_a_symbol_block(parity, mo
     assert (report.total_strings, report.mismatches, report.exact) == enumerated_report(net, parity, 3)
 
 
+def test_verify_exact_enumerates_a_stage_larger_than_one_chunk(parity, monkeypatch):
+    monkeypatch.setattr(dfanet.compiler, "_CHUNK", 2)  # stage 2 holds 2 pairs times 2 symbols
+    acceptor = build_unrolled_acceptor(parity, 3)
+    for net in (acceptor, flipped_readout(acceptor, 1)):
+        calls = counting_forward_batch(monkeypatch)
+        report = verify_exact(net, parity, 3)
+        assert calls == [2, 2, 2, 2]
+        assert (report.total_strings, report.mismatches, report.exact) == enumerated_report(net, parity, 3)
+
+
 @pytest.mark.parametrize("make", [build_unrolled_acceptor, build_embedding_head], ids=["acceptor", "embedding"])
 def test_verify_exact_walks_compiled_nets_without_a_forward_pass(make, monkeypatch):
     def refuse(*args):
@@ -388,6 +398,7 @@ def test_verify_exact_walks_compiled_nets_without_a_forward_pass(make, monkeypat
 
     monkeypatch.setattr(dfanet.compiler, "encode_strings", refuse)
     monkeypatch.setattr(dfanet.compiler, "forward_batch", refuse)
+    monkeypatch.setattr(dfanet.compiler, "accepts_batch", refuse)  # verdicts come from the final pairs
     for dfa in (make_mod_counter_dfa(2), make_mod_counter_dfa(4), random_dfa(5, 3, seed=1)):
         for length in (0, 1, 6):
             net = make(dfa, length)
