@@ -9,7 +9,7 @@ denotes the empty string.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -17,12 +17,25 @@ import numpy as np
 SymbolString = Sequence[int]
 
 
+def _state_indices(values, state_count: int, what: str) -> np.ndarray:
+    """``values`` as int64; ValueError unless each is an integer in [0, state_count).
+
+    Integer-valued floats such as ``1.0`` count as integers.
+    """
+    raw = np.asarray(values)
+    integral = raw.dtype.kind in "biu" or (raw.dtype.kind == "f" and (raw == np.round(raw)).all())
+    if not integral or ((raw < 0) | (raw >= state_count)).any():
+        raise ValueError(f"{what} must be an integer state index in [0, {state_count})")
+    return raw.astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class Dfa:
     """A complete DFA: total transition table, start state, accepting set.
 
     ``transitions[state, symbol]`` is the successor state. The table must be
-    total and closed (every entry a valid state index).
+    total and closed (every entry a valid state index). ``accepting_mask`` is
+    the read-only boolean vector of the accepting set over all states.
     """
 
     state_count: int
@@ -30,28 +43,29 @@ class Dfa:
     transitions: np.ndarray
     start_state: int
     accepting: frozenset[int]
+    accepting_mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.state_count < 1:
             raise ValueError("state_count must be positive")
         if self.alphabet_size < 1:
             raise ValueError("alphabet_size must be positive")
-        table = np.array(self.transitions, dtype=np.int64)
+        table = _state_indices(self.transitions, self.state_count, "every transition table entry")
         if table.shape != (self.state_count, self.alphabet_size):
             raise ValueError(
                 f"transition table must be total: expected shape "
                 f"{(self.state_count, self.alphabet_size)}, got {table.shape}"
             )
-        if table.min() < 0 or table.max() >= self.state_count:
-            raise ValueError("transition table entries must be valid state indices")
-        table.flags.writeable = False
+        start = _state_indices(self.start_state, self.state_count, f"start_state {self.start_state!r}")
+        accepting = _state_indices(list(self.accepting), self.state_count, "every accepting state")
+        mask = np.zeros(self.state_count, dtype=bool)
+        mask[accepting] = True
+        for array in (table, mask):
+            array.flags.writeable = False
         object.__setattr__(self, "transitions", table)
-        if not 0 <= self.start_state < self.state_count:
-            raise ValueError(f"start_state {self.start_state} out of range")
-        accepting = frozenset(int(q) for q in self.accepting)
-        if any(not 0 <= q < self.state_count for q in accepting):
-            raise ValueError("accepting states must be valid state indices")
-        object.__setattr__(self, "accepting", accepting)
+        object.__setattr__(self, "start_state", start.item())
+        object.__setattr__(self, "accepting", frozenset(accepting.tolist()))
+        object.__setattr__(self, "accepting_mask", mask)
 
 
 def step(dfa: Dfa, state: int, symbol: int) -> int:
@@ -94,10 +108,7 @@ def run_batch(dfa: Dfa, strings: np.ndarray) -> np.ndarray:
 
 def accepts_batch(dfa: Dfa, strings: np.ndarray) -> np.ndarray:
     """Vectorized :func:`accepts`; returns a boolean vector."""
-    final = run_batch(dfa, strings)
-    table = np.zeros(dfa.state_count, dtype=bool)
-    table[list(dfa.accepting)] = True
-    return table[final]
+    return dfa.accepting_mask[run_batch(dfa, strings)]
 
 
 def reachable_states(dfa: Dfa) -> list[int]:
@@ -116,85 +127,52 @@ def reachable_states(dfa: Dfa) -> list[int]:
     return order
 
 
-def _hopcroft_blocks(dfa: Dfa, reachable: list[int]) -> list[frozenset[int]]:
-    """Partition the reachable states into equivalence classes.
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge the byte-equal rows of a 2-D array: each class's first row and each row's class.
 
-    Worklist refinement: repeatedly split blocks against the preimage of a
-    splitter block under each symbol, keeping the smaller half on the
-    worklist.
+    Rows are compared as raw bytes, not as values, so ``-0.0`` and ``0.0``
+    stay apart. Classes are numbered in the order of their sorted bytes.
     """
-    reach = set(reachable)
-    finals = frozenset(q for q in reachable if q in dfa.accepting)
-    others = frozenset(reach - finals)
-
-    preimage: list[dict[int, list[int]]] = [{} for _ in range(dfa.alphabet_size)]
-    for q in reachable:
-        for c in range(dfa.alphabet_size):
-            preimage[c].setdefault(int(dfa.transitions[q, c]), []).append(q)
-
-    partition = {b for b in (finals, others) if b}
-    worklist = set(partition)
-    while worklist:
-        splitter = worklist.pop()
-        for c in range(dfa.alphabet_size):
-            movers = set()
-            for target in splitter:
-                movers.update(preimage[c].get(target, ()))
-            if not movers:
-                continue
-            for block in [b for b in partition if b & movers and b - movers]:
-                inside = frozenset(block & movers)
-                outside = frozenset(block - movers)
-                partition.remove(block)
-                partition.update((inside, outside))
-                if block in worklist:
-                    worklist.remove(block)
-                    worklist.update((inside, outside))
-                else:
-                    worklist.add(inside if len(inside) <= len(outside) else outside)
-    return list(partition)
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    return first, index
 
 
 def minimize(dfa: Dfa) -> Dfa:
     """Return the language-equivalent DFA with the minimum number of states.
 
     Unreachable states are dropped, then equivalent states are merged by
-    partition refinement. Output state indices follow first-reached BFS order
-    from the start state, so the result is deterministic.
+    Moore's (1956) partition refinement. It starts from the accepting/rejecting
+    split; each round puts two states in one block when their blocks and their
+    successors' blocks all agree, and it stops when a round adds no block.
+    Output states are numbered in the order a BFS from the start state first
+    reaches them, so isomorphic inputs give identical outputs. The blocks are
+    numbered by their first states in the BFS order of the input's states,
+    which is the same order (the comment below says why).
     """
-    reachable = reachable_states(dfa)
-    blocks = _hopcroft_blocks(dfa, reachable)
-    block_of = {q: block for block in blocks for q in block}
-
-    index_of: dict[frozenset[int], int] = {}
-    order: list[frozenset[int]] = []
-    queue = deque([block_of[dfa.start_state]])
-    index_of[block_of[dfa.start_state]] = 0
-    order.append(block_of[dfa.start_state])
-    while queue:
-        block = queue.popleft()
-        representative = next(iter(block))
-        for c in range(dfa.alphabet_size):
-            succ = block_of[int(dfa.transitions[representative, c])]
-            if succ not in index_of:
-                index_of[succ] = len(order)
-                order.append(succ)
-                queue.append(succ)
-
-    table = np.zeros((len(order), dfa.alphabet_size), dtype=np.int64)
-    accepting = set()
-    for i, block in enumerate(order):
-        representative = next(iter(block))
-        for c in range(dfa.alphabet_size):
-            table[i, c] = index_of[block_of[int(dfa.transitions[representative, c])]]
-        if representative in dfa.accepting:
-            accepting.add(i)
+    reachable = np.array(reachable_states(dfa))
+    position = np.zeros(dfa.state_count, dtype=np.int64)
+    position[reachable] = np.arange(len(reachable))
+    successors = position[dfa.transitions[reachable]]
+    accepting = dfa.accepting_mask[reachable]
+    count, (first, block) = 0, _distinct_rows(accepting[:, None])
+    while len(first) > count:
+        count = len(first)
+        first, block = _distinct_rows(np.concatenate([block[:, None], block[successors]], axis=1))
+    # Number the blocks by their first states in BFS order. That is the order
+    # in which a BFS over the blocks reaches them: a block's successor blocks
+    # are the same from each of its states, so only its first state can reach
+    # a new block, and blocks are first reached in the order of their first states.
+    order = np.sort(first)
+    number = np.zeros(len(first), dtype=np.int64)
+    number[block[order]] = np.arange(len(order))
     return Dfa(
         state_count=len(order),
         alphabet_size=dfa.alphabet_size,
-        transitions=table,
+        transitions=number[block[successors[order]]],
         start_state=0,
-        accepting=frozenset(accepting),
+        accepting=frozenset(np.flatnonzero(accepting[order]).tolist()),
     )
 
 

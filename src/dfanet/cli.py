@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (verification exact, experiment bands met), 1 when a
 verification finds mismatches or a banded experiment fails its band, 2 for
-usage and parse errors. Every command is deterministic given its flags.
+usage and parse errors and for files that cannot be written. Every command is
+deterministic given its flags.
 """
 
 from __future__ import annotations
@@ -162,14 +163,14 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if args.seeds < 2:
         print("error: --seeds must be at least 2 for summary statistics", file=sys.stderr)
         return USAGE_ERROR
+    out_dir = Path(args.out) if args.out else Path(".")
+    out_dir.mkdir(parents=True, exist_ok=True)  # before the sweep, so a bad --out fails at once
     from . import experiments
 
     runner = getattr(experiments, EXPERIMENTS[args.name])
     result = runner(seeds=tuple(range(args.seeds)), jobs=args.jobs, progress=args.progress)
     reports = result if isinstance(result, list) else [result]
 
-    out_dir = Path(args.out) if args.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{args.name}.csv"
     _write_csv(reports, csv_path)
 
@@ -257,7 +258,7 @@ def main(argv=None) -> int:
     except ProjectionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MISMATCH_ERROR
-    except ValueError as exc:  # also DocumentError and EnumerationBudgetError
+    except (ValueError, OSError) as exc:  # ValueError also covers DocumentError and EnumerationBudgetError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .automata import Dfa, accepts_batch, all_strings
+from .automata import Dfa, _distinct_rows, accepts_batch, all_strings
 from .encodings import binary_state_encoding, encode_strings
 from .network import LayerSpec, NetworkSpec, _layer_step, _stays_finite, forward_batch
 
@@ -176,8 +176,7 @@ def build_unrolled_acceptor(dfa: Dfa, length: int) -> NetworkSpec:
     exactly 0 or 1, so the output equals the language indicator on every
     string of the given length.
     """
-    indicator = np.zeros((1, dfa.state_count))
-    indicator[0, list(dfa.accepting)] = 1.0
+    indicator = dfa.accepting_mask[None, :].astype(float)
     return _carrier_network(
         dfa, length, indicator, {"construction": "unrolled-acceptor"},
         activation="step", thresholds=np.array([0.5]), strict=True,
@@ -351,10 +350,13 @@ class _Walk(NamedTuple):
 
 
 def _distinct(carriers: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct (carrier, state) rows, byte-equal ones merged, and each row's index among them."""
+    """The distinct (carrier, state) rows and each row's index among them.
+
+    Rows merge when their bytes are equal (``automata._distinct_rows``), so
+    carriers that differ only in the sign of a zero stay apart.
+    """
     rows = np.concatenate([carriers, states[:, None]], axis=1)  # state indices are exact as floats
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    first, index = _distinct_rows(rows)
     return carriers[first], states[first], index
 
 
@@ -394,9 +396,7 @@ def _walk(net: NetworkSpec, dfa: Dfa, limit: int) -> _Walk | None:
     carriers, states, index = _distinct(carriers, states)
     if blocks:
         tables.append(index.reshape(-1, k ** blocks[-1]))
-    accepting = np.zeros(dfa.state_count, dtype=bool)
-    accepting[list(dfa.accepting)] = True
-    return _Walk(tables, blocks, carriers[:, 0] > 0.5, accepting[states])
+    return _Walk(tables, blocks, carriers[:, 0] > 0.5, dfa.accepting_mask[states])
 
 
 def _final_pairs(walk: _Walk, strings: np.ndarray, k: int) -> np.ndarray:

@@ -152,9 +152,8 @@ def _uniform_dataset(
 
 def gen_dfa_dataset(dfa: Dfa, length: int, count: int, seed) -> Dataset:
     """Uniform i.i.d. strings of ``length`` labeled by acceptance (0/1)."""
-    accepting = np.zeros((dfa.state_count, 1))
-    accepting[list(dfa.accepting)] = 1.0
-    return _uniform_dataset(dfa, length, count, seed, "uniform-accept", accepting)
+    labels = dfa.accepting_mask[:, None].astype(float)
+    return _uniform_dataset(dfa, length, count, seed, "uniform-accept", labels)
 
 
 def gen_dfa_state_dataset(dfa: Dfa, length: int, count: int, seed) -> Dataset:

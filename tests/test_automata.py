@@ -13,6 +13,7 @@ from dfanet.automata import (
     minimize,
     nerode_classes,
     random_dfa,
+    reachable_states,
     run,
     run_batch,
     step,
@@ -79,6 +80,15 @@ def test_dfa_validation():
         Dfa(2, 1, np.array([[0], [1]]), 3, frozenset())  # bad start
     with pytest.raises(ValueError):
         Dfa(2, 1, np.array([[0], [1]]), 0, frozenset({4}))  # bad accepting
+    with pytest.raises(ValueError):
+        Dfa(2, 2, [[0, 1.5], [1, 0]], 0, {0})  # entry not an integer
+    with pytest.raises(ValueError):
+        Dfa(2, 1, np.array([[0], [1]]), 0.5, frozenset())  # start not an integer
+    with pytest.raises(ValueError):
+        Dfa(2, 1, np.array([[0], [1]]), 0, frozenset({0.7}))  # accepting state not an integer
+    whole = Dfa(2, 1, [[1.0], [0.0]], 1.0, {1.0})  # integer-valued floats stay accepted
+    assert type(whole.start_state) is int and whole.start_state == 1
+    assert whole.transitions.tolist() == [[1], [0]] and whole.accepting == {1}
 
 
 def test_minimize_parity_already_minimal(parity):
@@ -132,6 +142,22 @@ def test_minimize_preserves_language(dfa):
 def test_minimize_idempotent(dfa):
     once = minimize(dfa)
     assert minimize(once).state_count == once.state_count
+
+
+@settings(max_examples=60, deadline=None)
+@given(dfas(max_states=10, max_symbols=3), st.data())
+def test_minimize_is_a_canonical_form(dfa, data):
+    # relabelling the states changes nothing: the output is numbered in BFS order from the start
+    perm = np.array(data.draw(st.permutations(range(dfa.state_count))))
+    table = np.empty_like(dfa.transitions)
+    table[perm] = perm[dfa.transitions]
+    relabelled = Dfa(dfa.state_count, dfa.alphabet_size, table, int(perm[dfa.start_state]),
+                     frozenset(perm[list(dfa.accepting)].tolist()))
+    minimal, other = minimize(dfa), minimize(relabelled)
+    assert (other.state_count, other.start_state, other.accepting) == \
+        (minimal.state_count, minimal.start_state, minimal.accepting)
+    assert other.transitions.tobytes() == minimal.transitions.tobytes()
+    assert reachable_states(minimal) == list(range(minimal.state_count))
 
 
 @settings(max_examples=40, deadline=None)

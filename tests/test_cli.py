@@ -1,6 +1,10 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +191,18 @@ def test_compressed_target_rejects_a_non_finite_epsilon(tmp_path, parity_file, c
     assert "positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,out", [
+    (["compile", "{dfa}", "--target", "unrolled", "--length", "2", "-o", "{out}"], "missing/x.net"),
+    (["export-dot", "{dfa}", "-o", "{out}"], "."),
+    (["experiment", "thm3", "--seeds", "2", "--out", "{out}"], "parity.dfa"),
+], ids=["compile-into-a-missing-directory", "export-dot-onto-a-directory", "experiment-out-is-a-file"])
+def test_failed_write_exits_two_naming_the_path(tmp_path, parity_file, capsys, argv, out):
+    out = str(tmp_path / out)
+    assert main([arg.format(dfa=parity_file, out=out) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert out in err and "Traceback" not in err
+
+
 def test_export_dot_roundtrip(tmp_path, parity_file, capsys):
     assert main(["export-dot", str(parity_file)]) == 0
     first = capsys.readouterr().out
@@ -212,3 +228,13 @@ def test_experiment_thm3_writes_sorted_csv(tmp_path, capsys):
     assert body == sorted(body, key=lambda r: (r[0], int(r[1]), r[2]))
     metrics = {row[2] for row in body}
     assert metrics == {"held_out_accuracy", "train_accuracy"}
+
+
+def test_importing_the_cli_loads_neither_experiments_nor_scipy():
+    # compile and verify start up without paying for scipy's import
+    code = ("import sys, dfanet.cli; print(sorted(m for m in sys.modules "
+            "if m == 'dfanet.experiments' or m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
