@@ -42,7 +42,8 @@ USAGE_ERROR = 2
 MISMATCH_ERROR = 1
 
 COMPILE_TARGETS = ("unrolled", "transition", "binary", "embedding", "compressed")
-# protocol -> runner in dfanet.experiments, which only the experiment command imports
+# protocol -> runner in dfanet.experiments; only the experiment command imports it, so the
+# other commands start without its process-pool modules (concurrent.futures, multiprocessing)
 EXPERIMENTS = dict(
     thm1="run_theorem1", lemma1="run_lemma1", lemma2="run_lemma2", thm2="run_theorem2",
     cor21="run_corollary21", thm3="run_theorem3", cor31="run_corollary31",

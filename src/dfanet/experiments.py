@@ -6,10 +6,14 @@ default), and aggregates per-seed metrics into mean / sample std / 95%
 confidence intervals (Student's t). Alongside each trained sweep the exact
 compiled counterpart is evaluated, so every report carries both the learned
 and the constructive numbers.
+
+The t critical value is found by bisection on the t CDF, which for integer
+degrees of freedom is a finite sum (Abramowitz & Stegun 26.7.3-26.7.4).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -17,7 +21,6 @@ from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .automata import (
     Dfa,
@@ -74,6 +77,30 @@ class SummaryStats:
     ci95: float
 
 
+def _t_cdf(t: float, dof: int) -> float:
+    """Student-t CDF at ``t >= 0`` for integer ``dof`` (Abramowitz & Stegun 26.7.3-26.7.4)."""
+    theta = math.atan(t / math.sqrt(dof))
+    c, odd = math.cos(theta) ** 2, dof % 2
+    term, total = 1.0, 0.0
+    for j in range(dof // 2):
+        total += term
+        term *= c * (2 * j + 1 + odd) / (2 * j + 2 + odd)
+    if odd:
+        return 0.5 + (theta + math.sin(theta) * math.cos(theta) * total) / math.pi
+    return 0.5 + 0.5 * math.sin(theta) * total
+
+
+def _t_critical_975(dof: int) -> float:
+    """The t with CDF 0.975, by bisection on [0, 13] (t(0.975, 1) is 12.71) to adjacent floats."""
+    lo, hi = 0.0, 13.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if _t_cdf(mid, dof) < 0.975:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def summarize(values: Sequence[float]) -> SummaryStats:
     """Sample statistics: mean, std (n-1 denominator), t-based 95% CI half-width."""
     arr = np.asarray(values, dtype=float)
@@ -82,8 +109,10 @@ def summarize(values: Sequence[float]) -> SummaryStats:
     if np.all(arr == arr[0]):
         # avoid rounding residue in the mean: a constant sequence has zero spread
         return SummaryStats(mean=float(arr[0]), std=0.0, ci95=0.0)
+    if not np.isfinite(arr).all():  # an inf or nan value leaves no finite spread
+        return SummaryStats(mean=float(arr.mean()), std=math.nan, ci95=math.nan)
     std = float(arr.std(ddof=1))
-    t_crit = float(scipy_stats.t.ppf(0.975, arr.size - 1))
+    t_crit = _t_critical_975(arr.size - 1)
     return SummaryStats(
         mean=float(arr.mean()), std=std, ci95=t_crit * std / float(np.sqrt(arr.size))
     )
@@ -188,18 +217,13 @@ PAD_SYMBOL = 2  # alphabet for the counting task: a=0, b=1, PAD=2
 
 
 def gen_anbn_dataset(
-    n_range: tuple[int, int],
-    count: int = DEFAULT_SAMPLE_COUNT,
-    max_len: int = 20,
-    seed=0,
-    pad_mode: str = "token",
+    n_range: tuple[int, int], count: int = DEFAULT_SAMPLE_COUNT, max_len: int = 20, seed=0
 ) -> Dataset:
-    """Balanced a^n b^n membership set, padded to ``max_len``.
+    """Balanced a^n b^n membership set, padded to ``max_len`` with the PAD symbol.
 
     Positives are a^n b^n for n in the range; negatives are a^n b^m with
     m != n drawn from the same range (subject to the length cap). Classes are
-    exactly 50/50. ``pad_mode`` "token" pads with a dedicated third one-hot
-    symbol; "zero" keeps a two-symbol alphabet and pads with zero blocks.
+    exactly 50/50. Strings are one-hot over {a, b, PAD}.
     """
     lo, hi = int(n_range[0]), int(n_range[1])
     if lo < 1 or hi < lo:
@@ -208,8 +232,6 @@ def gen_anbn_dataset(
         raise ValueError(f"2*{hi} exceeds max_len {max_len}")
     if count < 2 or count % 2:
         raise ValueError("count must be even and at least 2 for exact class balance")
-    if pad_mode not in ("token", "zero"):
-        raise ValueError("pad_mode must be 'token' or 'zero'")
 
     negatives = [
         (n, m)
@@ -224,7 +246,6 @@ def gen_anbn_dataset(
     pos_n = rng.integers(lo, hi + 1, size=half)
     neg_idx = rng.integers(0, len(negatives), size=half)
 
-    k = 3 if pad_mode == "token" else 2
     strings = np.full((count, max_len), PAD_SYMBOL, dtype=np.int64)
     labels = np.zeros((count, 1))
     rows = rng.permutation(count)
@@ -235,23 +256,17 @@ def gen_anbn_dataset(
         n, m = negatives[int(idx)]
         strings[row, : n + m] = [0] * n + [1] * m
 
-    if pad_mode == "token":
-        inputs = encode_strings(strings, 3)
-    else:
-        onehot = np.eye(3)[strings][:, :, :2]  # PAD rows become zero blocks
-        inputs = onehot.reshape(count, max_len * 2)
     return Dataset(
-        inputs=inputs,
+        inputs=encode_strings(strings, 3),
         labels=labels,
         length=max_len,
-        alphabet_size=k,
+        alphabet_size=3,
         provenance={
             "generator": "anbn",
             "n_range": (lo, hi),
             "max_len": max_len,
             "seed": seed,
             "count": count,
-            "pad_mode": pad_mode,
         },
     )
 
@@ -305,51 +320,50 @@ def _fit(model: TrainableMlp | UnrolledNet, data: Dataset, loss: str, epochs: in
 
 
 def _fit_unrolled(
-    dfa, generator, key, heads, loss, length, samples, epochs, hidden_width, state_width, label
+    dfa, generator, key, heads, loss, length, samples, epochs, state_width, label
 ) -> tuple[UnrolledNet, Dataset]:
     """Train an UnrolledNet on the train split of ``generator``'s strings.
 
     ``key`` is (seed, *grid key) and ``heads`` is (head_dims, head_activations).
-    Returns the model and the held-out split.
+    Returns the model and the eval split. The strings are drawn with repeats,
+    so the eval split shares most of its strings with the train split.
     """
     seed, *point = key
     data = generator(dfa, length, samples, seed=(seed, _DATA, *point))
     train_part, eval_part = split_dataset(data, DEFAULT_TRAIN_FRACTION, seed=(seed, _SPLIT, *point))
     model = UnrolledNet(
         state_width, dfa.alphabet_size, length, dfa.start_state, *heads,
-        seed=(seed, _INIT, *point), hidden_width=hidden_width,
+        seed=(seed, _INIT, *point), hidden_width=DEFAULT_HIDDEN_WIDTH,
     )
     _fit(model, train_part, loss, epochs, label)
     return model, eval_part
 
 
-def _acceptor_seed(seed, length, samples, epochs, hidden_width, progress) -> dict:
-    model, held_out = _fit_unrolled(
+def _acceptor_seed(seed, length, samples, epochs, progress) -> dict:
+    model, evaluation = _fit_unrolled(
         make_parity_dfa(), gen_dfa_dataset, (seed, length), ([1], ["sigmoid"]), "bce",
-        length, samples, epochs, hidden_width, DEFAULT_STATE_WIDTH,
+        length, samples, epochs, DEFAULT_STATE_WIDTH,
         f"T={length} seed={seed}" if progress else None,
     )
-    return {"accuracy": _binary_accuracy(model.forward_batch(held_out.inputs), held_out.labels)}
+    return {"accuracy": _binary_accuracy(model.forward_batch(evaluation.inputs), evaluation.labels)}
 
 
 def _embedding_seed(
-    seed, dfa, key, label, length, samples, epochs, hidden_width, state_width,
-    embedding_dim, centroid, progress,
+    seed, dfa, key, label, length, samples, epochs, state_width, embedding_dim, centroid, progress
 ) -> dict:
-    """Held-out state accuracy of an embedding head, plus one embedding distance.
+    """Eval-split state accuracy of an embedding head, plus one embedding distance.
 
     ``centroid`` reports the mean centroid distance (cor21) in place of the
     class separation, max intra and min inter distance (thm2).
     """
     heads = ([embedding_dim, dfa.state_count], ["identity", "identity"])
-    model, held_out = _fit_unrolled(
+    model, evaluation = _fit_unrolled(
         dfa, gen_dfa_state_dataset, (seed, *key), heads, "softmax_ce",
-        length, samples, epochs, hidden_width, state_width,
-        f"{label} seed={seed}" if progress else None,
+        length, samples, epochs, state_width, f"{label} seed={seed}" if progress else None,
     )
-    embeddings, logits = model.head_outputs(held_out.inputs)
-    classes = held_out.labels.argmax(axis=1)
-    row = {"accuracy": _argmax_accuracy(logits, held_out.labels)}
+    embeddings, logits = model.head_outputs(evaluation.inputs)
+    classes = evaluation.labels.argmax(axis=1)
+    row = {"accuracy": _argmax_accuracy(logits, evaluation.labels)}
     if centroid:
         row["centroid_distance"] = _centroid_distance(embeddings, classes)
     else:
@@ -357,29 +371,27 @@ def _embedding_seed(
     return row
 
 
-def _transition_seed(seed, n, k, epochs, hidden_width, progress) -> dict:
+def _transition_seed(seed, n, k, epochs, progress) -> dict:
     data = gen_transition_dataset(random_dfa(n, k, seed=(seed, _DATA, n, k)))
-    model = TrainableMlp([n + k, hidden_width, n], ["relu", "identity"], seed=(seed, _INIT, n, k))
+    model = TrainableMlp([n + k, DEFAULT_HIDDEN_WIDTH, n], ["relu", "identity"], seed=(seed, _INIT, n, k))
     _fit(model, data, "mse", epochs, f"n={n} k={k} seed={seed}" if progress else None)
     return {"accuracy": _argmax_accuracy(model.forward_batch(data.inputs), data.labels)}
 
 
-def _binary_transition_seed(seed, n, epochs, hidden_width, progress) -> dict:
+def _binary_transition_seed(seed, n, epochs, progress) -> dict:
     data = gen_binary_transition_dataset(make_mod_counter_dfa(n))
-    dims = [data.inputs.shape[1], hidden_width, data.labels.shape[1]]
+    dims = [data.inputs.shape[1], DEFAULT_HIDDEN_WIDTH, data.labels.shape[1]]
     model = TrainableMlp(dims, ["relu", "sigmoid"], seed=(seed, _INIT, n))
     _fit(model, data, "bce", epochs, f"n={n} seed={seed}" if progress else None)
     return {"accuracy": _binary_accuracy(model.forward_batch(data.inputs), data.labels)}
 
 
-def _anbn_seed(
-    seed, train_range, test_range, samples, epochs, hidden_width, max_len, pad_mode, progress
-) -> dict:
+def _anbn_seed(seed, train_range, test_range, samples, epochs, progress) -> dict:
     train_data, test_data = (
-        gen_anbn_dataset(span, samples, max_len=max_len, seed=(seed, tag), pad_mode=pad_mode)
+        gen_anbn_dataset(span, samples, seed=(seed, tag))
         for span, tag in ((train_range, _DATA), (test_range, _TEST))
     )
-    dims = [train_data.inputs.shape[1], hidden_width, 1]
+    dims = [train_data.inputs.shape[1], DEFAULT_HIDDEN_WIDTH, 1]
     model = TrainableMlp(dims, ["relu", "sigmoid"], seed=(seed, _INIT))
     _fit(model, train_data, "bce", epochs, f"seed={seed}" if progress else None)
     held_out, trained = (
@@ -466,15 +478,16 @@ def run_theorem1(
     seeds: Sequence[int] = DEFAULT_SEEDS,
     sample_count: int = DEFAULT_SAMPLE_COUNT,
     epochs: int = 200,
-    hidden_width: int = DEFAULT_HIDDEN_WIDTH,
     jobs: int = 1,
     progress: bool = False,
 ) -> list[ExperimentReport]:
     """Trained and compiled fixed-length acceptors for the parity automaton.
 
     Per length T: train the unrolled architecture on uniformly sampled
-    strings and report held-out accuracy; alongside, compile the exact
-    acceptor and verify it on all 2^T strings.
+    strings and report eval-split accuracy; alongside, compile the exact
+    acceptor and verify it on all 2^T strings. The eval split is not unseen
+    data: at seed 0 every eval string also occurs in the train split for
+    T <= 7, 99.5% at T=8 and 79.8% at T=10.
     """
     dfa = make_parity_dfa()
 
@@ -486,8 +499,9 @@ def run_theorem1(
             "constructive_exact": verification.exact,
         }
 
-    sizes = dict(samples=sample_count, epochs=epochs, hidden_width=hidden_width)
-    grid = [(dict(dfa="parity", T=T, **sizes), dict(length=T)) for T in T_values]
+    sizes = dict(samples=sample_count, epochs=epochs)
+    config = dict(**sizes, hidden_width=DEFAULT_HIDDEN_WIDTH)
+    grid = [(dict(dfa="parity", T=T, **config), dict(length=T)) for T in T_values]
     worker = partial(_acceptor_seed, **sizes)
     return _sweep("unrolled-acceptor", worker, grid, seeds, jobs, progress, counterpart)
 
@@ -497,7 +511,6 @@ def run_lemma1(
     k_values: Iterable[int] = range(1, 4),
     seeds: Sequence[int] = DEFAULT_SEEDS,
     epochs: int = 200,
-    hidden_width: int = DEFAULT_HIDDEN_WIDTH,
     jobs: int = 1,
     progress: bool = False,
 ) -> list[ExperimentReport]:
@@ -517,9 +530,9 @@ def run_lemma1(
         ]
         return {"constructive_accuracy": min(accuracies)}
 
-    sizes = dict(epochs=epochs, hidden_width=hidden_width)
-    grid = [(dict(n=n, k=k, **sizes), dict(n=n, k=k)) for n in n_values for k in k_values]
-    worker = partial(_transition_seed, **sizes)
+    config = dict(epochs=epochs, hidden_width=DEFAULT_HIDDEN_WIDTH)
+    grid = [(dict(n=n, k=k, **config), dict(n=n, k=k)) for n in n_values for k in k_values]
+    worker = partial(_transition_seed, epochs=epochs)
     return _sweep("transition-lookup", worker, grid, seeds, jobs, progress, counterpart)
 
 
@@ -527,7 +540,6 @@ def run_lemma2(
     n_values: Iterable[int] = (2, 4, 8, 16, 32),
     seeds: Sequence[int] = DEFAULT_SEEDS,
     epochs: int = 200,
-    hidden_width: int = DEFAULT_HIDDEN_WIDTH,
     jobs: int = 1,
     progress: bool = False,
 ) -> list[ExperimentReport]:
@@ -543,9 +555,9 @@ def run_lemma2(
         net, data = build_binary_threshold_network(dfa), gen_binary_transition_dataset(dfa)
         return {"constructive_accuracy": _compiled_accuracy(net, data)}
 
-    sizes = dict(epochs=epochs, hidden_width=hidden_width)
-    grid = [(dict(n=n, k=2, **sizes), dict(n=n)) for n in n_values]
-    worker = partial(_binary_transition_seed, **sizes)
+    config = dict(epochs=epochs, hidden_width=DEFAULT_HIDDEN_WIDTH)
+    grid = [(dict(n=n, k=2, **config), dict(n=n)) for n in n_values]
+    worker = partial(_binary_transition_seed, epochs=epochs)
     return _sweep("binary-transition", worker, grid, seeds, jobs, progress, counterpart)
 
 
@@ -554,27 +566,25 @@ def run_theorem2(
     seeds: Sequence[int] = DEFAULT_SEEDS,
     sample_count: int = DEFAULT_SAMPLE_COUNT,
     epochs: int = 200,
-    hidden_width: int = DEFAULT_HIDDEN_WIDTH,
-    embedding_dim: int = 2,
     jobs: int = 1,
     progress: bool = False,
 ) -> list[ExperimentReport]:
     """State-class embeddings from unrolled networks, per sequence length.
 
     The network embeds the carried state and a linear classifier on the
-    embedding predicts the reached state; accuracy is held-out. Per-seed
+    embedding predicts the reached state; accuracy is on the eval split,
+    which repeats train strings as in ``run_theorem1``. Per-seed
     class-separation distances (max intra, min inter) let callers check that
     same-state strings embed closer than different-state ones whenever the
     classifier is perfect.
     """
-    sizes = dict(samples=sample_count, epochs=epochs, embedding_dim=embedding_dim)
+    sizes = dict(samples=sample_count, epochs=epochs, embedding_dim=2)
     grid = [
         (dict(dfa="parity", T=T, **sizes), dict(length=T, key=(T,), label=f"T={T}"))
         for T in T_values
     ]
     worker = partial(
-        _embedding_seed, dfa=make_parity_dfa(), hidden_width=hidden_width,
-        state_width=DEFAULT_STATE_WIDTH, centroid=False, **sizes,
+        _embedding_seed, dfa=make_parity_dfa(), state_width=DEFAULT_STATE_WIDTH, centroid=False, **sizes
     )
     return _sweep("equivalence-embedding", worker, grid, seeds, jobs, progress)
 
@@ -585,8 +595,6 @@ def run_corollary21(
     length: int = 10,
     sample_count: int = DEFAULT_SAMPLE_COUNT,
     epochs: int = 200,
-    hidden_width: int = DEFAULT_HIDDEN_WIDTH,
-    state_width: int = 20,
     jobs: int = 1,
     progress: bool = False,
 ) -> list[ExperimentReport]:
@@ -605,22 +613,14 @@ def run_corollary21(
         d = int(np.ceil(np.log2(n)))
         params = dict(dfa=make_mod_counter_dfa(n), key=(n,), label=f"n={n}", embedding_dim=d)
         grid.append((dict(n=n, d=d, T=length, **sizes), params))
-    worker = partial(
-        _embedding_seed, length=length, hidden_width=hidden_width, state_width=state_width,
-        centroid=True, **sizes,
-    )
+    worker = partial(_embedding_seed, length=length, state_width=20, centroid=True, **sizes)
     return _sweep("compressed-embedding", worker, grid, seeds, jobs, progress)
 
 
 def run_theorem3(
-    train_range: tuple[int, int] = (1, 5),
-    test_range: tuple[int, int] = (6, 10),
     seeds: Sequence[int] = DEFAULT_SEEDS,
     sample_count: int = DEFAULT_SAMPLE_COUNT,
     epochs: int = 200,
-    hidden_width: int = DEFAULT_HIDDEN_WIDTH,
-    max_len: int = 20,
-    pad_mode: str = "token",
     jobs: int = 1,
     progress: bool = False,
 ) -> ExperimentReport:
@@ -630,11 +630,9 @@ def run_theorem3(
     outcome is chance-level held-out accuracy, certifying that this
     architecture class does not generalize counting.
     """
-    config = dict(
-        train_range=train_range, test_range=test_range, samples=sample_count,
-        epochs=epochs, max_len=max_len, pad_mode=pad_mode,
-    )
-    worker = partial(_anbn_seed, hidden_width=hidden_width, **config)
+    sizes = dict(train_range=(1, 5), test_range=(6, 10), samples=sample_count, epochs=epochs)
+    config = dict(**sizes, max_len=20, pad_mode="token")  # gen_anbn_dataset's padding
+    worker = partial(_anbn_seed, **sizes)
     return _sweep("anbn-negative-control", worker, [(config, {})], seeds, jobs, progress)[0]
 
 

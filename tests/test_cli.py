@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -230,11 +231,26 @@ def test_experiment_thm3_writes_sorted_csv(tmp_path, capsys):
     assert metrics == {"held_out_accuracy", "train_accuracy"}
 
 
-def test_importing_the_cli_loads_neither_experiments_nor_scipy():
-    # compile and verify start up without paying for scipy's import
-    code = ("import sys, dfanet.cli; print(sorted(m for m in sys.modules "
-            "if m == 'dfanet.experiments' or m.split('.')[0] == 'scipy'))")
+def _fresh_python(code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports dfanet from this checkout."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_importing_the_cli_loads_neither_experiments_nor_scipy():
+    # compile and verify start up without the process-pool modules that experiments imports
+    code = ("import sys, dfanet.cli; print(sorted(m for m in sys.modules "
+            "if m == 'dfanet.experiments' or m.split('.')[0] == 'scipy'))")
+    assert _fresh_python(code) == "[]"
+
+
+def test_dfanet_loads_only_numpy_and_the_standard_library():
+    code = ("import json, sys; before = set(sys.modules)\n"
+            "import dfanet, dfanet.experiments, dfanet.cli\n"
+            "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
+    loaded = set(json.loads(_fresh_python(code)))
+    foreign = {m for m in loaded - {"dfanet", "numpy"} - sys.stdlib_module_names
+               if not (m.startswith("__") and m.endswith("__"))}
+    assert not foreign, f"dfanet loads modules outside numpy and the standard library: {sorted(foreign)}"

@@ -13,6 +13,7 @@ from dfanet.experiments import (
     run_corollary31,
     run_lemma1,
     run_theorem1,
+    run_theorem2,
     split_dataset,
     summarize,
     _centroid_distance,
@@ -99,15 +100,6 @@ def test_anbn_range_validation():
         gen_anbn_dataset((0, 5), count=10, max_len=20, seed=0)
 
 
-def test_anbn_zero_padding_mode():
-    data = gen_anbn_dataset((1, 3), count=10, max_len=8, seed=0, pad_mode="zero")
-    assert data.alphabet_size == 2
-    assert data.inputs.shape == (10, 16)
-    # padded positions are all-zero blocks
-    lengths = (data.inputs.reshape(10, 8, 2).sum(axis=2) > 0).sum(axis=1)
-    assert lengths.max() <= 6
-
-
 def test_split_dataset_partitions():
     data = gen_dfa_dataset(make_parity_dfa(), 3, 100, seed=0)
     train, evaluation = split_dataset(data, 0.8, seed=1)
@@ -130,11 +122,29 @@ def test_summarize_two_values():
     assert stats.std == pytest.approx(0.70710678, abs=1e-6)
 
 
-def test_summarize_uses_student_t():
-    values = [0.0, 0.0, 0.0, 0.0, 1.0]
+@pytest.mark.parametrize("dof, t_crit", [  # scipy.stats.t.ppf(0.975, dof)
+    (1, 12.706204736174694), (2, 4.302652729749462), (3, 3.1824463052837078),
+    (4, 2.7764451051977934), (6, 2.4469118511449786), (9, 2.262157162798205),
+    (29, 2.045229642132703), (99, 1.9842169515864174), (999, 1.9623414611334493),
+])
+def test_summarize_uses_student_t(dof, t_crit):
+    values = [0.0] * dof + [1.0]
     stats = summarize(values)
     std = np.std(values, ddof=1)
-    assert stats.ci95 == pytest.approx(2.7764451 * std / np.sqrt(5), rel=1e-6)
+    assert stats.ci95 == pytest.approx(t_crit * std / np.sqrt(dof + 1), rel=1e-13)
+
+
+def test_summarize_infinite_value_has_no_spread():
+    stats = summarize([np.inf, 1.0])
+    assert stats.mean == np.inf
+    assert np.isnan(stats.std) and np.isnan(stats.ci95)
+
+
+def test_run_theorem2_single_class_eval_split_summarizes_without_warning():
+    # seed 21's eval split holds one class, so its min inter-class distance is inf
+    report = run_theorem2(T_values=(1,), seeds=(21, 0), sample_count=20, epochs=1)[0]
+    assert report.metrics["inter_class_min"][0] == np.inf
+    assert report.summary["inter_class_min"].mean == np.inf
 
 
 def test_summarize_needs_two_values():
