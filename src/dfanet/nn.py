@@ -6,6 +6,9 @@ two-layer ReLU block per sequence position (consuming the carried state and
 that position's one-hot symbol block) under a configurable head stack. The
 MLP, each position block and the head are all dense stacks, run by one forward
 pass (``_stack_forward``) and one backward pass (``_stack_backward``).
+``train`` minimises the mean loss over the dataset's rows. It takes that same
+mean over the distinct ``(input, target)`` rows, each weighted by its count,
+and steps Adam over one flat vector of all parameters.
 Everything is double precision and deterministic per seed.
 """
 
@@ -16,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .automata import _distinct_rows
 from .network import apply_activation
 
 LOSSES = ("bce", "mse", "softmax_ce")
@@ -38,28 +42,39 @@ def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _loss_and_output_grad(
-    loss: str, z_last: np.ndarray, a_last: np.ndarray, targets: np.ndarray, last_activation: str
+    loss: str,
+    z_last: np.ndarray,
+    a_last: np.ndarray,
+    targets: np.ndarray,
+    last_activation: str,
+    counts: np.ndarray,
 ) -> tuple[float, np.ndarray]:
-    """Return the mean loss and its gradient wrt the last pre-activation."""
-    batch = z_last.shape[0]
+    """Return the count-weighted mean loss and its gradient wrt the last pre-activation.
+
+    ``counts`` is an ``(N, 1)`` column of row weights: row i stands for
+    ``counts[i]`` copies of itself, and the mean is over ``counts.sum()``
+    rows. Multiplying by 1.0 is exact, so unit counts give the unweighted
+    mean bit for bit.
+    """
+    total = counts.sum()
     if loss == "bce":
         if last_activation != "sigmoid":
             raise ValueError("bce loss requires a sigmoid output layer")
         # numerically fused form: softplus(z) - y*z, gradient sigma(z) - y
         per_elem = np.maximum(z_last, 0.0) - z_last * targets + np.log1p(np.exp(-np.abs(z_last)))
-        return float(per_elem.sum() / batch), (a_last - targets) / batch
+        return float((per_elem * counts).sum() / total), (a_last - targets) * counts / total
     if loss == "softmax_ce":
         if last_activation != "identity":
             raise ValueError("softmax cross-entropy expects identity (logit) outputs")
         shifted = z_last - z_last.max(axis=1, keepdims=True)
         log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         log_probs = shifted - log_norm
-        value = float(-(targets * log_probs).sum() / batch)
-        return value, (np.exp(log_probs) - targets) / batch
+        value = float(-(targets * log_probs * counts).sum() / total)
+        return value, (np.exp(log_probs) - targets) * counts / total
     if loss == "mse":
         diff = a_last - targets
-        grad = diff / batch * _activation_grad(last_activation, z_last, a_last)
-        return float(0.5 * (diff * diff).sum() / batch), grad
+        grad = diff * counts / total * _activation_grad(last_activation, z_last, a_last)
+        return float(0.5 * (diff * diff * counts).sum() / total), grad
     raise ValueError(f"unknown loss {loss!r}; choose from {LOSSES}")
 
 
@@ -98,7 +113,15 @@ def _stack_backward(
     return grads, dz
 
 
-def _check_batch(inputs: np.ndarray, targets: np.ndarray, input_dim: int, output_dim: int) -> None:
+def _as_batch(
+    inputs, targets, counts, input_dim: int, output_dim: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float ``(inputs, targets, counts)`` of a batch, or a ValueError naming what is wrong.
+
+    Omitted counts are ones.
+    """
+    inputs = np.asarray(inputs, dtype=float)
+    targets = np.asarray(targets, dtype=float)
     if inputs.ndim != 2 or targets.ndim != 2:
         raise ValueError("inputs and targets must be 2-D batches")
     if inputs.shape[0] == 0:
@@ -109,6 +132,10 @@ def _check_batch(inputs: np.ndarray, targets: np.ndarray, input_dim: int, output
         raise ValueError(f"expected input dim {input_dim}, got {inputs.shape[1]}")
     if targets.shape[1] != output_dim:
         raise ValueError(f"expected label dim {output_dim}, got {targets.shape[1]}")
+    counts = np.ones((inputs.shape[0], 1)) if counts is None else np.asarray(counts, dtype=float)
+    if counts.shape != (inputs.shape[0], 1):
+        raise ValueError(f"expected counts of shape ({inputs.shape[0]}, 1), got {counts.shape}")
+    return inputs, targets, counts
 
 
 def _init_affine(rng: np.random.Generator, out_dim: int, in_dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -156,15 +183,19 @@ class TrainableMlp:
         return _stack_forward(self.parameters, self.activations, a)[1][-1]
 
     def loss_and_gradients(
-        self, inputs: np.ndarray, targets: np.ndarray, loss: str
+        self, inputs: np.ndarray, targets: np.ndarray, loss: str, counts: np.ndarray | None = None
     ) -> tuple[float, list[np.ndarray]]:
-        """Mean batch loss and exact reverse-mode gradients, parameter-shaped."""
-        inputs = np.asarray(inputs, dtype=float)
-        targets = np.asarray(targets, dtype=float)
-        _check_batch(inputs, targets, self.input_dim, self.output_dim)
+        """Mean batch loss and exact reverse-mode gradients, parameter-shaped.
+
+        ``counts``, an ``(N, 1)`` column, makes row i count as ``counts[i]``
+        copies of itself: on distinct rows weighted by their counts this is
+        the same mean as on the rows with their repeats. Omitted, every row
+        counts once.
+        """
+        inputs, targets, counts = _as_batch(inputs, targets, counts, self.input_dim, self.output_dim)
         params = self.parameters
         pre, post = _stack_forward(params, self.activations, inputs)
-        value, dz = _loss_and_output_grad(loss, pre[-1], post[-1], targets, self.activations[-1])
+        value, dz = _loss_and_output_grad(loss, pre[-1], post[-1], targets, self.activations[-1], counts)
         return value, _stack_backward(params, self.activations, pre, post, dz)[0]
 
 
@@ -268,16 +299,22 @@ class UnrolledNet:
         return self.head_outputs(inputs)[-1]
 
     def loss_and_gradients(
-        self, inputs: np.ndarray, targets: np.ndarray, loss: str
+        self, inputs: np.ndarray, targets: np.ndarray, loss: str, counts: np.ndarray | None = None
     ) -> tuple[float, list[np.ndarray]]:
-        """Mean batch loss and exact reverse-mode gradients, parameter-shaped."""
-        inputs = np.asarray(inputs, dtype=float)
-        targets = np.asarray(targets, dtype=float)
-        _check_batch(inputs, targets, self.input_dim, self.output_dim)
+        """Mean batch loss and exact reverse-mode gradients, parameter-shaped.
+
+        ``counts``, an ``(N, 1)`` column, makes row i count as ``counts[i]``
+        copies of itself: on distinct rows weighted by their counts this is
+        the same mean as on the rows with their repeats. Omitted, every row
+        counts once.
+        """
+        inputs, targets, counts = _as_batch(inputs, targets, counts, self.input_dim, self.output_dim)
         state, stacks = self._trunk(inputs)
         head = self.parameters[4 * self.length :]
         pre, post = _stack_forward(head, self.head_activations, state)
-        value, dz = _loss_and_output_grad(loss, pre[-1], post[-1], targets, self.head_activations[-1])
+        value, dz = _loss_and_output_grad(
+            loss, pre[-1], post[-1], targets, self.head_activations[-1], counts
+        )
         grads, dz = _stack_backward(head, self.head_activations, pre, post, dz)
         d_state = dz @ head[0]  # gradient wrt the final carried state
         for params, (pre, post) in zip(self.step_weights[::-1], stacks[::-1]):
@@ -293,7 +330,11 @@ TrainableModel = TrainableMlp | UnrolledNet
 
 @dataclass
 class TrainConfig:
-    """Full-batch Adam training configuration (the whole dataset per epoch)."""
+    """Full-batch Adam training configuration.
+
+    Each epoch takes one step on the mean loss over the whole dataset; ``train``
+    computes that mean over the distinct rows, each weighted by its count.
+    """
 
     epochs: int = 200
     learning_rate: float = 0.01
@@ -305,40 +346,51 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, shaped like the parameter list."""
+    """First/second moment accumulators, each one flat vector over the parameter list."""
 
     learning_rate: float
     beta1: float
     beta2: float
     epsilon: float
     step_count: int = 0
-    first_moment: list[np.ndarray] = field(default_factory=list)
-    second_moment: list[np.ndarray] = field(default_factory=list)
+    first_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    second_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
     def for_parameters(cls, params: list[np.ndarray], config: TrainConfig) -> "AdamState":
+        size = sum(p.size for p in params)
         return cls(
             learning_rate=config.learning_rate,
             beta1=config.beta1,
             beta2=config.beta2,
             epsilon=config.epsilon,
-            first_moment=[np.zeros_like(p) for p in params],
-            second_moment=[np.zeros_like(p) for p in params],
+            first_moment=np.zeros(size),
+            second_moment=np.zeros(size),
         )
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
-    """One bias-corrected Adam update, applied to the parameters in place."""
+    """One bias-corrected Adam update, applied to the parameters in place.
+
+    The update is computed once over the concatenated gradients and subtracted
+    from each parameter through its slice. Every operation is elementwise, so
+    this gives the same bytes as updating each array on its own.
+    """
     state.step_count += 1
     t = state.step_count
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    g = np.concatenate([grad.ravel() for grad in grads])
+    m, v = state.first_moment, state.second_moment
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * g * g
+    m_hat = m / (1.0 - state.beta1**t)
+    v_hat = v / (1.0 - state.beta2**t)
+    update = state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    end = 0
+    for p in params:
+        start, end = end, end + p.size
+        p -= update[start:end].reshape(p.shape)
 
 
 def train(
@@ -350,16 +402,25 @@ def train(
 ) -> list[float]:
     """Run full-batch Adam for the configured epochs; returns the loss trace.
 
-    The model is updated in place; the trace holds the loss at the start of
-    each epoch (so zero epochs returns an empty trace and leaves the
-    parameters untouched). Deterministic given (model, data, config).
+    The objective is the mean loss over all rows of the dataset. Rows of
+    ``[inputs | targets]`` that are byte-equal are merged once, in
+    first-occurrence order, and each epoch takes the same mean over the
+    distinct rows weighted by their counts; a dataset without repeats trains
+    exactly as row by row. The model is updated in place; the trace holds the
+    loss at the start of each epoch (so zero epochs returns an empty trace and
+    leaves the parameters untouched). Deterministic given (model, data, config).
     """
     config = config or TrainConfig()
+    inputs, targets, _ = _as_batch(inputs, targets, None, model.input_dim, model.output_dim)
+    first, index = _distinct_rows(np.concatenate([inputs, targets], axis=1))
+    order = np.argsort(first)
+    rows, counts = first[order], np.bincount(index)[order][:, None].astype(float)
+    inputs, targets = inputs[rows], targets[rows]
     params = model.parameters
     state = AdamState.for_parameters(params, config)
     trace: list[float] = []
     for epoch in range(config.epochs):
-        value, grads = model.loss_and_gradients(inputs, targets, config.loss)
+        value, grads = model.loss_and_gradients(inputs, targets, config.loss, counts)
         trace.append(value)
         adam_step(params, grads, state)
         if progress is not None:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfanet.automata import make_parity_dfa
 from dfanet.compiler import build_unrolled_acceptor
 from dfanet.encodings import encode_string
 from dfanet.network import forward
-from dfanet.nn import AdamState, TrainableMlp, TrainConfig, UnrolledNet, adam_step, train
+from dfanet.nn import LOSSES, AdamState, TrainableMlp, TrainConfig, UnrolledNet, adam_step, train
 
 
 def finite_difference_grads(model, inputs, targets, loss, h=1e-5):
@@ -253,3 +255,147 @@ def test_unrolled_net_deterministic_per_seed():
     b = UnrolledNet(seed=5, **kwargs)
     for pa, pb in zip(a.parameters, b.parameters):
         assert np.array_equal(pa, pb)
+
+
+@pytest.mark.parametrize(
+    "inputs,targets,message",
+    [
+        (np.zeros((3, 2)), np.zeros((2, 1)), "disagree on batch size"),
+        (np.zeros((0, 2)), np.zeros((0, 1)), "batch must be nonempty"),
+        (np.zeros(2), np.zeros((2, 1)), "must be 2-D batches"),
+    ],
+    ids=["mismatched", "empty", "1-D"],
+)
+def test_train_checks_the_batch_before_any_epoch(inputs, targets, message):
+    mlp = TrainableMlp([2, 1], ["sigmoid"], seed=0)
+    with pytest.raises(ValueError, match=message):
+        train(mlp, inputs, targets, TrainConfig(epochs=0))
+
+
+def test_loss_rejects_counts_of_the_wrong_shape():
+    mlp = TrainableMlp([2, 1], ["sigmoid"], seed=0)
+    with pytest.raises(ValueError, match="counts of shape"):
+        mlp.loss_and_gradients(np.zeros((3, 2)), np.zeros((3, 1)), "bce", np.ones(3))
+
+
+# last activation for each loss; the models below put a relu layer under it
+LAST_ACTIVATION = {"bce": "sigmoid", "mse": "sigmoid", "softmax_ce": "identity"}
+
+
+def perturbed_model(family: str, loss: str, rng: np.random.Generator):
+    """A 4-input, 3-output model with every parameter drawn off its initial point."""
+    last = LAST_ACTIVATION[loss]
+    if family == "mlp":
+        model = TrainableMlp([4, 5, 3], ["relu", last], seed=0)
+    else:
+        model = UnrolledNet(3, 2, 2, 0, [4, 3], ["relu", last], seed=0, hidden_width=4)
+    for param in model.parameters:
+        param[...] = rng.normal(scale=0.5, size=param.shape)
+    return model
+
+
+def draw_targets(loss: str, rng: np.random.Generator, rows: int, width: int) -> np.ndarray:
+    if loss == "softmax_ce":
+        return np.eye(width)[rng.integers(0, width, rows)]
+    if loss == "bce":
+        return rng.integers(0, 2, (rows, width)).astype(float)
+    return rng.uniform(size=(rows, width))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["mlp", "unrolled"]),
+    st.sampled_from(LOSSES),
+    st.lists(st.integers(1, 4), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+def test_counts_weight_rows_like_repeated_rows(family, loss, counts, seed):
+    rng = np.random.default_rng(seed)
+    model = perturbed_model(family, loss, rng)
+    rows = len(counts)
+    inputs = np.eye(2)[rng.integers(0, 2, (rows, 2))].reshape(rows, 4)
+    targets = draw_targets(loss, rng, rows, 3)
+    value, grads = model.loss_and_gradients(inputs, targets, loss, np.array(counts, dtype=float)[:, None])
+    expanded_value, expanded_grads = model.loss_and_gradients(
+        np.repeat(inputs, counts, axis=0), np.repeat(targets, counts, axis=0), loss
+    )
+    assert value == pytest.approx(expanded_value, rel=1e-12, abs=0.0)
+    for grad, expected in zip(grads, expanded_grads):
+        assert np.abs(grad - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_unit_counts_give_the_unweighted_bytes():
+    rng = np.random.default_rng(4)
+    model = perturbed_model("unrolled", "softmax_ce", rng)
+    inputs = np.eye(2)[rng.integers(0, 2, (7, 2))].reshape(7, 4)
+    targets = draw_targets("softmax_ce", rng, 7, 3)
+    value, grads = model.loss_and_gradients(inputs, targets, "softmax_ce")
+    unit_value, unit_grads = model.loss_and_gradients(inputs, targets, "softmax_ce", np.ones((7, 1)))
+    assert unit_value == value
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(grads, unit_grads))
+
+
+def reference_adam_step(params, grads, moments, step, config):
+    """Textbook per-array Adam (Kingma & Ba, 2015), with the library's operation order."""
+    for p, g, (m, v) in zip(params, grads, moments):
+        m *= config.beta1
+        m += (1.0 - config.beta1) * g
+        v *= config.beta2
+        v += (1.0 - config.beta2) * g * g
+        m_hat = m / (1.0 - config.beta1**step)
+        v_hat = v / (1.0 - config.beta2**step)
+        p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+
+
+def test_flat_adam_step_matches_per_array_adam_bytes():
+    rng = np.random.default_rng(12)
+    shapes = [(3, 4), (4,), (1, 1), (2, 3, 2), (5,)]
+    config = TrainConfig(learning_rate=0.03)
+    params = [rng.normal(size=shape) for shape in shapes]
+    reference = [p.copy() for p in params]
+    moments = [(np.zeros(shape), np.zeros(shape)) for shape in shapes]
+    state = AdamState.for_parameters(params, config)
+    for step in range(1, 6):
+        grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape) for shape in shapes]
+        adam_step(params, grads, state)
+        reference_adam_step(reference, grads, moments, step, config)
+        assert all(p.tobytes() == r.tobytes() for p, r in zip(params, reference))
+
+
+def parity_rows(strings: np.ndarray):
+    return np.eye(2)[strings].reshape(len(strings), -1), (strings.sum(axis=1) % 2)[:, None].astype(float)
+
+
+def test_train_without_repeats_matches_a_plain_epoch_loop():
+    rng = np.random.default_rng(5)
+    # all 16 strings of length 4, shuffled so that first-occurrence order is not byte order
+    strings = np.array([[(i >> b) & 1 for b in range(4)] for i in rng.permutation(16)])
+    inputs, labels = parity_rows(strings)
+    config = TrainConfig(epochs=6, loss="bce")
+    kwargs = dict(head_dims=[1], head_activations=["sigmoid"], seed=8, hidden_width=6)
+    model, plain = (UnrolledNet(4, 2, 4, 0, **kwargs) for _ in range(2))
+    trace = train(model, inputs, labels, config)
+    state = AdamState.for_parameters(plain.parameters, config)
+    plain_trace = []
+    for _ in range(config.epochs):
+        value, grads = plain.loss_and_gradients(inputs, labels, "bce")
+        plain_trace.append(value)
+        adam_step(plain.parameters, grads, state)
+    assert trace == plain_trace
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(model.parameters, plain.parameters))
+
+
+def test_train_with_repeats_follows_the_mean_over_all_rows():
+    rng = np.random.default_rng(6)
+    inputs, labels = parity_rows(rng.integers(0, 2, (60, 3)))  # 60 rows, at most 8 distinct
+    config = TrainConfig(epochs=6, loss="bce")
+    kwargs = dict(head_dims=[1], head_activations=["sigmoid"], seed=9, hidden_width=6)
+    model, plain = (UnrolledNet(4, 2, 3, 0, **kwargs) for _ in range(2))
+    trace = train(model, inputs, labels, config)
+    state = AdamState.for_parameters(plain.parameters, config)
+    for value in trace:
+        plain_value, grads = plain.loss_and_gradients(inputs, labels, "bce")
+        assert value == pytest.approx(plain_value, rel=1e-12)
+        adam_step(plain.parameters, grads, state)
+    for a, b in zip(model.parameters, plain.parameters):
+        assert np.allclose(a, b, rtol=0.0, atol=1e-10)
