@@ -2,8 +2,11 @@
 
 Every pass here is exact by construction: the emitted weights are small
 integers (plus the 0.5 readout threshold), so evaluation in double precision
-reproduces the automaton bit for bit. ``verify_exact`` certifies that claim for
-every one of the k^T strings of a length.
+reproduces the automaton bit for bit. The transition layers are all read off
+the automaton's (state, symbol) pair table (``encodings.transition_table``),
+and the unrolled carrier stacks one such module per position beside an
+identity over the unread symbol blocks. ``verify_exact`` certifies exactness
+for every one of the k^T strings of a length.
 
 It does so without running each string. A layer of ``NetworkSpec._plan`` that
 has read the first t symbol blocks computes a vector, its carrier, that depends
@@ -25,8 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .automata import Dfa, _distinct_rows, accepts_batch, all_strings
-from .encodings import binary_state_encoding, encode_strings
-from .network import LayerSpec, NetworkSpec, _layer_step, _stays_finite, forward_batch
+from .encodings import binary_state_encoding, bits_for_state_count, encode_strings, one_hot_state_encoding
+from .encodings import transition_table
+from .network import LayerSpec, NetworkSpec, _layer_step, forward_batch
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 24
 _CHUNK = 1 << 16  # strings per enumeration chunk, and the most rows one walk stage may hold
@@ -58,86 +62,53 @@ def dfa_fingerprint(dfa: Dfa) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _pair_match_stage(dfa: Dfa, passthrough: int, first_state_fixed: int | None) -> LayerSpec:
-    """Hidden stage of one transition module: one ReLU AND-gadget per pair.
-
-    Unit (i, j) fires (value exactly 1) iff the state part is e_i and the
-    symbol block is u_j; weights are +1 on both coordinates with bias -1.
-    When ``first_state_fixed`` is given there is no state part in the input:
-    the state contribution is folded into the bias, which pins the state to
-    the start state. ``passthrough`` trailing inputs (the not-yet-consumed
-    symbol blocks) are routed through unchanged.
-    """
-    n, k = dfa.state_count, dfa.alphabet_size
-    state_dims = 0 if first_state_fixed is not None else n
-    in_dim = state_dims + k + passthrough
-    out_dim = n * k + passthrough
-    weights = np.zeros((out_dim, in_dim))
-    bias = np.zeros(out_dim)
-    for i in range(n):
-        for j in range(k):
-            unit = i * k + j
-            if first_state_fixed is None:
-                weights[unit, i] = 1.0
-                bias[unit] = -1.0
-            else:
-                bias[unit] = (1.0 if i == first_state_fixed else 0.0) - 1.0
-            weights[unit, state_dims + j] = 1.0
-    for p in range(passthrough):
-        weights[n * k + p, state_dims + k + p] = 1.0
-    return LayerSpec(weights=weights, bias=bias, activation="relu")
-
-
-def _next_state_stage(dfa: Dfa, passthrough: int) -> LayerSpec:
-    """Output stage of one transition module: sum fired pairs into e_next."""
-    n, k = dfa.state_count, dfa.alphabet_size
-    weights = np.zeros((n + passthrough, n * k + passthrough))
-    for i in range(n):
-        for j in range(k):
-            weights[int(dfa.transitions[i, j]), i * k + j] = 1.0
-    for p in range(passthrough):
-        weights[n + p, n * k + p] = 1.0
-    return LayerSpec(weights=weights, bias=np.zeros(n + passthrough), activation="identity")
+def _beside_identity(block: np.ndarray, bias: np.ndarray, tail: int, activation: str) -> LayerSpec:
+    """``block`` and its ``bias`` beside a ``tail``-wide identity passing the last inputs through."""
+    rows, cols = block.shape
+    weights = np.zeros((rows + tail, cols + tail))
+    weights[:rows, :cols] = block
+    np.fill_diagonal(weights[rows:, cols:], 1.0)
+    return LayerSpec(weights=weights, bias=np.concatenate([bias, np.zeros(tail)]), activation=activation)
 
 
 def build_transition_layer(dfa: Dfa) -> NetworkSpec:
     """One-step transition as a two-layer ReLU lookup.
 
     Input is a concatenated one-hot pair [e_state; u_symbol] of dimension
-    n + k; the hidden layer has exactly n*k units, one per transition pair;
-    the output is exactly the one-hot code of the successor state.
+    n + k; the hidden layer has exactly n*k units, one per transition pair:
+    unit (i, j) has weights [e_i; u_j] and bias -1, so it fires, with value
+    exactly 1, iff the input is that pair. The output sums the fired unit
+    into the one-hot code of the successor state.
     """
     n, k = dfa.state_count, dfa.alphabet_size
-    layers = (
-        _pair_match_stage(dfa, passthrough=0, first_state_fixed=None),
-        _next_state_stage(dfa, passthrough=0),
-    )
+    pairs, successors = transition_table(dfa, one_hot_state_encoding(n))
     return NetworkSpec(
-        layers=layers,
+        layers=(
+            LayerSpec(weights=pairs, bias=np.full(n * k, -1.0), activation="relu"),
+            LayerSpec(weights=successors.T, bias=np.zeros(n), activation="identity"),
+        ),
         input_dim=n + k,
         output_dim=n,
-        metadata={
-            "construction": "transition-lookup",
-            "dfa_sha256": dfa_fingerprint(dfa),
-            "hidden_width": n * k,
-        },
+        metadata={"construction": "transition-lookup", "dfa_sha256": dfa_fingerprint(dfa), "hidden_width": n * k},
     )
 
 
 def _carrier_stages(dfa: Dfa, length: int) -> list[LayerSpec]:
-    """Transition-module stages mapping R^(T*k) to the final state one-hot.
+    """T >= 1 transition modules mapping R^(T*k) to the final state one-hot.
 
-    Module t consumes symbol block t and the carried state while routing the
-    remaining blocks through untouched; the start state enters through the
-    first module's bias.
+    Module t is the transition layer's two stages on the carried state and
+    symbol block t, beside an identity passing the unread blocks through. The
+    first module has no state input: its pair units see the symbol columns
+    only, and the start state's column of the pair table enters their bias.
     """
-    k = dfa.alphabet_size
-    stages: list[LayerSpec] = []
-    for t in range(length):
-        remaining = (length - t - 1) * k
-        fixed = dfa.start_state if t == 0 else None
-        stages.append(_pair_match_stage(dfa, passthrough=remaining, first_state_fixed=fixed))
-        stages.append(_next_state_stage(dfa, passthrough=remaining))
+    n, k = dfa.state_count, dfa.alphabet_size
+    pairs, successors = transition_table(dfa, one_hot_state_encoding(n))
+    hidden = [(pairs[:, n:], pairs[:, dfa.start_state] - 1.0)] + [(pairs, np.full(n * k, -1.0))] * (length - 1)
+    stages = []
+    for t, (block, bias) in enumerate(hidden):
+        tail = (length - t - 1) * k
+        stages.append(_beside_identity(block, bias, tail, "relu"))
+        stages.append(_beside_identity(successors.T, np.zeros(n), tail, "identity"))
     return stages
 
 
@@ -194,42 +165,16 @@ def build_binary_threshold_network(dfa: Dfa) -> NetworkSpec:
     code sets that bit.
     """
     n, k = dfa.state_count, dfa.alphabet_size
-    enc = binary_state_encoding(n)
-    d = enc.dim
-    hidden_w = np.zeros((n * k, d + k))
-    hidden_theta = np.zeros(n * k)
-    out_w = np.zeros((d, n * k))
-    for i in range(n):
-        for j in range(k):
-            unit = i * k + j
-            pattern = np.concatenate([enc.codes[i], np.eye(k)[j]])
-            hidden_w[unit] = 2.0 * pattern - 1.0
-            hidden_theta[unit] = pattern.sum()
-            target = enc.codes[int(dfa.transitions[i, j])]
-            out_w[:, unit] = target
-    layers = (
-        LayerSpec(
-            weights=hidden_w,
-            bias=np.zeros(n * k),
-            activation="step",
-            thresholds=hidden_theta,
-        ),
-        LayerSpec(
-            weights=out_w,
-            bias=np.zeros(d),
-            activation="step",
-            thresholds=np.ones(d),
-        ),
-    )
+    pairs, successors = transition_table(dfa, binary_state_encoding(n))
+    d = successors.shape[1]
     return NetworkSpec(
-        layers=layers,
+        layers=(
+            LayerSpec(weights=2.0 * pairs - 1.0, bias=np.zeros(n * k), activation="step", thresholds=pairs.sum(1)),
+            LayerSpec(weights=successors.T, bias=np.zeros(d), activation="step", thresholds=np.ones(d)),
+        ),
         input_dim=d + k,
         output_dim=d,
-        metadata={
-            "construction": "binary-threshold",
-            "dfa_sha256": dfa_fingerprint(dfa),
-            "state_bits": d,
-        },
+        metadata={"construction": "binary-threshold", "dfa_sha256": dfa_fingerprint(dfa), "state_bits": d},
     )
 
 
@@ -271,7 +216,7 @@ def build_compressed_embedding(
         raise ValueError("compression needs at least two states to separate")
     if not 0 < epsilon < np.inf:  # also refuses nan
         raise ValueError("epsilon must be positive and finite")
-    d = int(np.ceil(np.log2(n))) + 1
+    d = bits_for_state_count(n) + 1
     rng = np.random.default_rng(seed)
     best = -np.inf
     for _ in range(max_retries):
@@ -364,35 +309,39 @@ def _walk(net: NetworkSpec, dfa: Dfa, limit: int) -> _Walk | None:
     """Walk ``net._plan`` and ``dfa`` together over the distinct pairs; None where it cannot.
 
     It cannot when a layer reads part of a symbol block, when the output passes
-    input columns through, when the plan may not stay finite on inputs in
-    [0, 1] (``forward_batch`` would then run every layer whole), or when one
-    stage would hold more than ``limit`` pair-symbol rows.
+    input columns through, when a layer would read a carrier that is not
+    finite, or when one stage would hold more than ``limit`` pair-symbol rows.
+    While every value a layer reads is finite, each zero weight its active
+    block skips adds an exact zero; the last layer's inf or nan is a verdict.
     """
     k = dfa.alphabet_size
     plan = net._plan
     reads = [step.fresh for step in plan]
-    if any(r % k for r in reads) or sum(reads) < net.input_dim or not _stays_finite(plan, np.ones((1, 1))):
+    if any(r % k for r in reads) or sum(reads) < net.input_dim:
         return None
     carriers, states = np.zeros((1, 0)), np.array([dfa.start_state])
     tables, blocks, seen = [], [], []
-    for layer, step in zip(net.layers, plan):
-        fresh = carriers[:, :0]
-        if step.fresh:
-            if blocks:
-                carriers, states, index = _distinct(carriers, states)
-                tables.append(index.reshape(-1, k ** blocks[-1]))
-            b = step.fresh // k
-            blocks.append(b)
-            if len(carriers) * k**b > limit:
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is judged, not warned about
+        for layer, step in zip(net.layers, plan):
+            if not np.isfinite(carriers).all():
                 return None
-            symbols = np.tile(all_strings(k, b), (len(carriers), 1))
-            fresh = np.eye(k)[symbols].reshape(len(symbols), step.fresh)
-            carriers = np.repeat(carriers, k**b, axis=0)
-            states = np.repeat(states, k**b)
-            for column in symbols.T:
-                states = dfa.transitions[states, column]
-        carriers = _layer_step(layer, step, carriers, fresh, seen)
-        seen.append(layer.activation)
+            fresh = carriers[:, :0]
+            if step.fresh:
+                if blocks:
+                    carriers, states, index = _distinct(carriers, states)
+                    tables.append(index.reshape(-1, k ** blocks[-1]))
+                b = step.fresh // k
+                blocks.append(b)
+                if len(carriers) * k**b > limit:
+                    return None
+                symbols = np.tile(all_strings(k, b), (len(carriers), 1))
+                fresh = np.eye(k)[symbols].reshape(len(symbols), step.fresh)
+                carriers = np.repeat(carriers, k**b, axis=0)
+                states = np.repeat(states, k**b)
+                for column in symbols.T:
+                    states = dfa.transitions[states, column]
+            carriers = _layer_step(layer, step, carriers, fresh, seen)
+            seen.append(layer.activation)
     carriers, states, index = _distinct(carriers, states)
     if blocks:
         tables.append(index.reshape(-1, k ** blocks[-1]))
@@ -428,17 +377,19 @@ def verify_exact(
 
     The walk is sound because it runs the same layer arithmetic as
     ``forward_batch`` on the same values: byte-equal carriers give byte-equal
-    results, and every string reaches the pair of its prefix. Its verdicts
+    results, and every string reaches the pair of its prefix (the skipped
+    products are exact zeros on the finite values it runs on). Its verdicts
     equal enumeration's bit for bit wherever the sums are exact, as on every
     network the builders emit. On a float network a verdict within rounding of
     0.5 can differ, as it already does between enumeration chunk shapes.
 
     It falls back to running all k^T strings through ``forward_batch`` (in
     chunks, so memory stays bounded) when a layer reads part of a symbol block,
-    the output passes input columns through, the plan might not stay finite on
-    inputs in [0, 1], or one stage's pairs times its symbol blocks exceed one
-    chunk. Refuses lengths whose enumeration exceeds ``budget``; use sampled
-    verification for those.
+    the output passes input columns through, a layer would read a carrier that
+    is not finite, or one stage's pairs times its symbol blocks exceed one
+    chunk. Refuses lengths whose k^T exceeds ``budget``, and enumerates at most
+    2^63 - 1 strings whatever the budget (it numbers them in int64); use
+    sampled verification beyond either.
     """
     _check_dims(net, dfa, length)
     k = dfa.alphabet_size
@@ -451,6 +402,10 @@ def verify_exact(
     walk = _walk(net, dfa, _CHUNK)
     if walk is not None and np.array_equal(walk.verdicts, walk.accepted):
         return VerificationReport(total_strings=total, mismatches=(), exact=True)
+    if total > np.iinfo(np.int64).max:
+        raise EnumerationBudgetError(
+            f"{k}^{length} = {total} strings cannot be numbered in 64 bits; use sampled verification"
+        )
     mismatches: list[tuple[tuple[int, ...], bool, bool]] = []
     powers = k ** np.arange(length - 1, -1, -1, dtype=np.int64)
     for start in range(0, total, _CHUNK):

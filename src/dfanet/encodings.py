@@ -3,16 +3,19 @@
 All vectors are double precision. The values produced here (zeros and ones)
 are exactly representable, so the compiled networks' exactness claims survive
 floating point.
+
+``transition_table`` lays out an automaton's (state, symbol) pairs over a
+state code: the paper's Lemma 1 over one-hot codes and Lemma 2 over binary
+ones. Every compiled transition layer and both transition datasets read it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import SymbolString
+from .automata import Dfa, SymbolString
 
 
 def one_hot(index: int, dim: int) -> np.ndarray:
@@ -37,7 +40,7 @@ def bits_for_state_count(n: int) -> int:
     """Width of the binary state code: ceil(log2 n), but at least 1."""
     if n < 1:
         raise ValueError("state count must be positive")
-    return max(1, math.ceil(math.log2(n))) if n > 1 else 1
+    return max(1, (n - 1).bit_length())
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,18 @@ def binary_state_encoding(n: int) -> StateEncoding:
     d = bits_for_state_count(n)
     codes = np.stack([binary_code(i, d) for i in range(n)])
     return StateEncoding(kind="binary", dim=d, codes=codes)
+
+
+def transition_table(dfa: Dfa, encoding: StateEncoding) -> tuple[np.ndarray, np.ndarray]:
+    """The (state, symbol) pairs of ``dfa`` over ``encoding``, and their successors.
+
+    Row i*k + j of ``pairs`` is [codes[i]; u_j], of shape (n*k, dim + k); the
+    same row of ``successors`` is the code of state i's successor on symbol j.
+    """
+    k = dfa.alphabet_size
+    symbols = np.tile(np.eye(k), (dfa.state_count, 1))
+    pairs = np.concatenate([np.repeat(encoding.codes, k, axis=0), symbols], axis=1)
+    return pairs, encoding.codes[dfa.transitions.ravel()]
 
 
 @dataclass(frozen=True)

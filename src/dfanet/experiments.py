@@ -36,7 +36,8 @@ from .compiler import (
     dfa_fingerprint,
     verify_exact,
 )
-from .encodings import StateEncoding, binary_state_encoding, encode_strings, one_hot_state_encoding
+from .encodings import StateEncoding, binary_state_encoding, bits_for_state_count, encode_strings
+from .encodings import one_hot_state_encoding, transition_table
 from .network import NetworkSpec
 from .network import forward_batch as spec_forward_batch
 from .nn import TrainableMlp, TrainConfig, UnrolledNet, train
@@ -192,15 +193,9 @@ def gen_dfa_state_dataset(dfa: Dfa, length: int, count: int, seed) -> Dataset:
 
 def _transition_pairs(dfa: Dfa, encoding: StateEncoding, generator: str) -> Dataset:
     """All n*k pairs [state code; one-hot symbol] -> next state code, row i*k + j."""
-    n, k = dfa.state_count, dfa.alphabet_size
-    symbols = np.tile(np.eye(k), (n, 1))
-    return Dataset(
-        inputs=np.concatenate([np.repeat(encoding.codes, k, axis=0), symbols], axis=1),
-        labels=encoding.codes[dfa.transitions.ravel()],
-        length=1,
-        alphabet_size=k,
-        provenance={"generator": generator, "dfa_sha256": dfa_fingerprint(dfa)},
-    )
+    inputs, labels = transition_table(dfa, encoding)
+    provenance = {"generator": generator, "dfa_sha256": dfa_fingerprint(dfa)}
+    return Dataset(inputs, labels, length=1, alphabet_size=dfa.alphabet_size, provenance=provenance)
 
 
 def gen_transition_dataset(dfa: Dfa) -> Dataset:
@@ -610,7 +605,7 @@ def run_corollary21(
     sizes = dict(samples=sample_count, epochs=epochs)
     grid = []
     for n in n_values:
-        d = int(np.ceil(np.log2(n)))
+        d = bits_for_state_count(n)
         params = dict(dfa=make_mod_counter_dfa(n), key=(n,), label=f"n={n}", embedding_dim=d)
         grid.append((dict(n=n, d=d, T=length, **sizes), params))
     worker = partial(_embedding_seed, length=length, state_width=20, centroid=True, **sizes)

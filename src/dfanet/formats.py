@@ -191,7 +191,7 @@ def format_dfa_document(doc: DfaDocument) -> str:
 
 
 def _format_floats(values: np.ndarray) -> str:
-    return " ".join(repr(float(v)) for v in values)
+    return " ".join(map(repr, values.tolist()))
 
 
 def format_network_document(net: NetworkSpec) -> str:

@@ -138,6 +138,14 @@ def _as_batch(
     return inputs, targets, counts
 
 
+def _batch_of(inputs, input_dim: int) -> np.ndarray:
+    """``inputs`` as a float batch of ``input_dim``-vectors, or a ValueError."""
+    inputs = np.asarray(inputs, dtype=float)
+    if inputs.ndim != 2 or inputs.shape[1] != input_dim:
+        raise ValueError(f"expected a batch of {input_dim}-vectors")
+    return inputs
+
+
 def _init_affine(rng: np.random.Generator, out_dim: int, in_dim: int) -> tuple[np.ndarray, np.ndarray]:
     # scaled-uniform init: weights ~ U(-sqrt(1/fan_in), +sqrt(1/fan_in)), zero bias
     limit = np.sqrt(1.0 / max(in_dim, 1))
@@ -177,10 +185,7 @@ class TrainableMlp:
         return [p for layer in zip(self.weights, self.biases) for p in layer]
 
     def forward_batch(self, inputs: np.ndarray) -> np.ndarray:
-        a = np.asarray(inputs, dtype=float)
-        if a.ndim != 2 or a.shape[1] != self.input_dim:
-            raise ValueError(f"expected a batch of {self.input_dim}-vectors")
-        return _stack_forward(self.parameters, self.activations, a)[1][-1]
+        return _stack_forward(self.parameters, self.activations, _batch_of(inputs, self.input_dim))[1][-1]
 
     def loss_and_gradients(
         self, inputs: np.ndarray, targets: np.ndarray, loss: str, counts: np.ndarray | None = None
@@ -288,7 +293,7 @@ class UnrolledNet:
 
     def trunk_batch(self, inputs: np.ndarray) -> np.ndarray:
         """Carried state after consuming the whole sequence."""
-        return self._trunk(np.asarray(inputs, dtype=float))[0]
+        return self._trunk(_batch_of(inputs, self.input_dim))[0]
 
     def head_outputs(self, inputs: np.ndarray) -> list[np.ndarray]:
         """Output after each head layer (last entry is the network output)."""

@@ -19,6 +19,7 @@ from dfanet.compiler import (
     verify_sampled,
 )
 from dfanet.encodings import binary_state_encoding, encode_string, encode_strings, one_hot
+from dfanet.experiments import gen_binary_transition_dataset, gen_transition_dataset
 from dfanet.network import LayerSpec, NetworkSpec, forward, forward_batch
 
 from conftest import dfas, plain_accepts, plain_fold
@@ -359,20 +360,60 @@ def counting_forward_batch(monkeypatch):
 
 
 def test_verify_exact_enumerates_a_net_with_an_inf_weight(parity, monkeypatch):
+    acceptor = build_unrolled_acceptor(parity, 3)
+    last_move = acceptor.layers[-2]  # the last next-state stage; pair (0, 0) moves to state 0
+    net = with_layer(acceptor, -2, weights=last_move.weights * [[np.inf, 1.0, 1.0, 1.0], [1.0] * 4])
+    calls = counting_forward_batch(monkeypatch)
+    report = verify_exact(net, parity, 3)
+    assert calls == [8]  # the readout would read inf or nan, so the walk declines
+    # strings that end on pair (0, 0) read inf (accept); every other carrier holds nan (reject)
+    assert not report.exact
+    assert (report.total_strings, report.mismatches, report.exact) == enumerated_report(net, parity, 3)
+
+
+def test_verify_exact_walks_a_net_whose_readout_weight_is_inf(parity, monkeypatch):
     readout = build_unrolled_acceptor(parity, 3).layers[-1]
     net = with_layer(build_unrolled_acceptor(parity, 3), -1, weights=readout.weights * [[np.inf, 1.0]])
     calls = counting_forward_batch(monkeypatch)
     report = verify_exact(net, parity, 3)
-    assert calls == [8]
+    assert calls == []  # every carrier the readout reads is finite
     # even-state strings read inf (accept), odd ones nan (reject): parity again
     assert report.exact and (report.total_strings, report.mismatches, report.exact) == enumerated_report(net, parity, 3)
 
 
-def test_verify_exact_enumerates_a_net_that_reads_half_a_symbol_block(parity, monkeypatch):
-    net = build_unrolled_acceptor(parity, 3)
+@pytest.mark.parametrize("n, length", [(2, 3), (5, 6)])
+def test_verify_exact_walks_a_net_whose_static_bound_overflows(n, length, monkeypatch):
+    """Pair stages scaled by 2^500 and next-state stages by 2^-500: every value stays exact.
+
+    The static bound of ``forward_batch`` multiplies the gains, 2^501 per
+    module, and passes 1e300 at the second module, so the dense plan runs.
+    The carriers themselves are 0 or 2^500 after a pair stage, 0 or 1 after a
+    next-state stage.
+    """
+    dfa = make_mod_counter_dfa(n)
+    net = build_unrolled_acceptor(dfa, length)
+    for index in range(2 * length):
+        layer, rows = net.layers[index], (n * 2 if index % 2 == 0 else n)
+        scale = np.ones(layer.output_dim)
+        scale[:rows] = 2.0**500 if index % 2 == 0 else 2.0**-500
+        net = with_layer(net, index, weights=layer.weights * scale[:, None], bias=layer.bias * scale)
+    calls = counting_forward_batch(monkeypatch)
+    report = verify_exact(net, dfa, length)
+    assert calls == []
+    assert report.exact
+    assert (report.total_strings, report.mismatches, report.exact) == enumerated_report(net, dfa, length)
+
+
+def half_block_net(parity, length):
+    """The parity acceptor whose first layer doubles, rather than passes, block 1's first column."""
+    net = build_unrolled_acceptor(parity, length)
     weights = net.layers[0].weights.copy()
-    weights[2 * 2, 2] = 2.0  # the pass-through of block 1's first column doubles it
-    net = with_layer(net, 0, weights=weights)
+    weights[2 * 2, 2] = 2.0
+    return with_layer(net, 0, weights=weights)
+
+
+def test_verify_exact_enumerates_a_net_that_reads_half_a_symbol_block(parity, monkeypatch):
+    net = half_block_net(parity, 3)
     assert net._plan[0].fresh == 3  # block 0 and half of block 1
     calls = counting_forward_batch(monkeypatch)
     report = verify_exact(net, parity, 3)
@@ -406,3 +447,114 @@ def test_verify_exact_walks_compiled_nets_without_a_forward_pass(make, monkeypat
             report = verify_exact(flipped_readout(net, 0), dfa, length)  # mismatches listed from the tables
             assert report.total_strings == dfa.alphabet_size**length
     assert verify_exact(build_unrolled_acceptor(make_mod_counter_dfa(4), 12), make_mod_counter_dfa(4), 12).exact
+
+
+def test_verify_exact_refuses_to_number_more_strings_than_int64_holds(parity, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("verify_exact enumerated 2^64 strings")
+
+    monkeypatch.setattr(dfanet.compiler, "forward_batch", refuse)
+    with pytest.raises(EnumerationBudgetError, match="64 bits"):
+        verify_exact(half_block_net(parity, 64), parity, 64, budget=2**70)
+    report = verify_exact(build_unrolled_acceptor(parity, 64), parity, 64, budget=2**70)
+    assert report.exact and report.total_strings == 2**64
+
+
+# Reference constructions: the transition layers built entry by entry, one
+# (state, symbol) pair at a time, as the paper's Lemmas 1 and 2 state them.
+
+
+def reference_pair_match_stage(dfa, passthrough, first_state_fixed):
+    n, k = dfa.state_count, dfa.alphabet_size
+    state_dims = 0 if first_state_fixed is not None else n
+    weights = np.zeros((n * k + passthrough, state_dims + k + passthrough))
+    bias = np.zeros(n * k + passthrough)
+    for i in range(n):
+        for j in range(k):
+            unit = i * k + j
+            if first_state_fixed is None:
+                weights[unit, i] = 1.0
+                bias[unit] = -1.0
+            else:
+                bias[unit] = (1.0 if i == first_state_fixed else 0.0) - 1.0
+            weights[unit, state_dims + j] = 1.0
+    for p in range(passthrough):
+        weights[n * k + p, state_dims + k + p] = 1.0
+    return LayerSpec(weights=weights, bias=bias, activation="relu")
+
+
+def reference_next_state_stage(dfa, passthrough):
+    n, k = dfa.state_count, dfa.alphabet_size
+    weights = np.zeros((n + passthrough, n * k + passthrough))
+    for i in range(n):
+        for j in range(k):
+            weights[int(dfa.transitions[i, j]), i * k + j] = 1.0
+    for p in range(passthrough):
+        weights[n + p, n * k + p] = 1.0
+    return LayerSpec(weights=weights, bias=np.zeros(n + passthrough), activation="identity")
+
+
+def reference_carrier_stages(dfa, length):
+    stages = []
+    for t in range(length):
+        remaining = (length - t - 1) * dfa.alphabet_size
+        fixed = dfa.start_state if t == 0 else None
+        stages += [reference_pair_match_stage(dfa, remaining, fixed), reference_next_state_stage(dfa, remaining)]
+    return stages
+
+
+def reference_binary_layers(dfa):
+    n, k = dfa.state_count, dfa.alphabet_size
+    codes = binary_state_encoding(n).codes
+    d = codes.shape[1]
+    hidden_w, hidden_theta, out_w = np.zeros((n * k, d + k)), np.zeros(n * k), np.zeros((d, n * k))
+    for i in range(n):
+        for j in range(k):
+            unit = i * k + j
+            pattern = np.concatenate([codes[i], np.eye(k)[j]])
+            hidden_w[unit] = 2.0 * pattern - 1.0
+            hidden_theta[unit] = pattern.sum()
+            out_w[:, unit] = codes[int(dfa.transitions[i, j])]
+    return [
+        LayerSpec(weights=hidden_w, bias=np.zeros(n * k), activation="step", thresholds=hidden_theta),
+        LayerSpec(weights=out_w, bias=np.zeros(d), activation="step", thresholds=np.ones(d)),
+    ]
+
+
+def reference_transition_pairs(dfa, codes):
+    n, k = dfa.state_count, dfa.alphabet_size
+    d = codes.shape[1]
+    inputs, labels = np.zeros((n * k, d + k)), np.zeros((n * k, d))
+    for i in range(n):
+        for j in range(k):
+            inputs[i * k + j, :d] = codes[i]
+            inputs[i * k + j, d + j] = 1.0
+            labels[i * k + j] = codes[int(dfa.transitions[i, j])]
+    return inputs, labels
+
+
+def layer_bytes(layer):
+    thresholds = None if layer.thresholds is None else layer.thresholds.tobytes()
+    return (layer.activation, layer.strict, layer.weights.shape, layer.weights.tobytes(),
+            layer.bias.tobytes(), thresholds)
+
+
+def array_bytes(array):
+    return array.dtype, array.shape, array.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(dfas(max_states=6, max_symbols=3), st.integers(0, 6))
+def test_builders_equal_the_entry_by_entry_reference(dfa, length):
+    carrier = list(map(layer_bytes, reference_carrier_stages(dfa, length)))
+    for net in (build_unrolled_acceptor(dfa, length), build_embedding_head(dfa, length)):
+        assert list(map(layer_bytes, net.layers[:-1])) == carrier
+    transition = [reference_pair_match_stage(dfa, 0, None), reference_next_state_stage(dfa, 0)]
+    assert list(map(layer_bytes, build_transition_layer(dfa).layers)) == list(map(layer_bytes, transition))
+    binary = build_binary_threshold_network(dfa).layers
+    assert list(map(layer_bytes, binary)) == list(map(layer_bytes, reference_binary_layers(dfa)))
+    n = dfa.state_count
+    for data, codes in ((gen_transition_dataset(dfa), np.eye(n)), (gen_binary_transition_dataset(dfa), binary_state_encoding(n).codes)):
+        inputs, labels = reference_transition_pairs(dfa, codes)
+        assert array_bytes(data.inputs) == array_bytes(inputs)
+        assert array_bytes(data.labels) == array_bytes(labels)

@@ -246,6 +246,17 @@ def test_unrolled_net_zero_length():
     assert np.all(out == out[0])
 
 
+@pytest.mark.parametrize("method", ["forward_batch", "head_outputs", "trunk_batch"])
+@pytest.mark.parametrize("shape", [(3, 7), (3, 5), (6,), (2, 3, 2)], ids=["wider", "narrower", "1-D", "3-D"])
+def test_unrolled_net_rejects_a_batch_that_is_not_of_input_vectors(method, shape):
+    model = UnrolledNet(
+        state_dim=2, alphabet_size=2, length=3, start_state=0,
+        head_dims=[1], head_activations=["sigmoid"], seed=0, hidden_width=4,
+    )
+    with pytest.raises(ValueError, match="expected a batch of 6-vectors"):
+        getattr(model, method)(np.zeros(shape))
+
+
 def test_unrolled_net_deterministic_per_seed():
     kwargs = dict(
         state_dim=3, alphabet_size=2, length=2, start_state=0,
