@@ -310,9 +310,9 @@ def _walk(net: NetworkSpec, dfa: Dfa, limit: int) -> _Walk | None:
 
     It cannot when a layer reads part of a symbol block, when the output passes
     input columns through, when a layer would read a carrier that is not
-    finite, or when one stage would hold more than ``limit`` pair-symbol rows.
-    While every value a layer reads is finite, each zero weight its active
-    block skips adds an exact zero; the last layer's inf or nan is a verdict.
+    finite (the rule of ``dfanet.network``, judged as ``forward_batch`` judges
+    it), or when one stage would hold more than ``limit`` pair-symbol rows.
+    The last layer's inf or nan is a verdict.
     """
     k = dfa.alphabet_size
     plan = net._plan
@@ -376,9 +376,9 @@ def verify_exact(
     verdicts from it.
 
     The walk is sound because it runs the same layer arithmetic as
-    ``forward_batch`` on the same values: byte-equal carriers give byte-equal
-    results, and every string reaches the pair of its prefix (the skipped
-    products are exact zeros on the finite values it runs on). Its verdicts
+    ``forward_batch`` on the same values, under the same finiteness rule (see
+    ``dfanet.network``): byte-equal carriers give byte-equal results, and
+    every string reaches the pair of its prefix. Its verdicts
     equal enumeration's bit for bit wherever the sums are exact, as on every
     network the builders emit. On a float network a verdict within rounding of
     0.5 can differ, as it already does between enumeration chunk shapes.

@@ -3,9 +3,10 @@
 Each ``run_*`` entry point sweeps its configurations across a set of seeds,
 trains the matching architecture with full-batch Adam (lr 0.01, 200 epochs by
 default), and aggregates per-seed metrics into mean / sample std / 95%
-confidence intervals (Student's t). Alongside each trained sweep the exact
-compiled counterpart is evaluated, so every report carries both the learned
-and the constructive numbers.
+confidence intervals (Student's t). The thm1, lemma1 and lemma2 sweeps also
+evaluate the exact compiled counterpart, so their reports carry both the
+learned and the constructive numbers; cor31 verifies its compiled acceptors
+itself, and thm2 and cor21 carry no counterpart yet.
 
 The t critical value is found by bisection on the t CDF, which for integer
 degrees of freedom is a finite sum (Abramowitz & Stegun 26.7.3-26.7.4).

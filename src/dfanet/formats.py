@@ -304,24 +304,16 @@ def parse_network_document(text: str) -> NetworkSpec:
             if strict_tokens[:1] not in (["true"], ["false"]):
                 raise DocumentError("strict must be 'true' or 'false'", at)
             strict = strict_tokens[0] == "true"
-        shape_or_thresh, at = reader.next()
-        if activation == "step":
-            parts = shape_or_thresh.split()
-            if parts[0] != "thresholds":
-                raise DocumentError(f"expected 'thresholds', found {parts[0]!r}", at, 1)
-            threshold_tokens = parts[1:]
-            shape_or_thresh, at = reader.next()
-        parts = shape_or_thresh.split()
-        if parts[0] != "shape":
-            raise DocumentError(f"expected 'shape', found {parts[0]!r}", at, 1)
-        if len(parts) != 3:
+            threshold_tokens, threshold_line = reader.expect("thresholds")
+        dims, at = reader.expect("shape")
+        if len(dims) != 2:
             raise DocumentError("shape takes output and input dims", at)
-        out_dim = take_int(parts[1:2], "output dim", at)
-        in_dim = take_int(parts[2:3], "input dim", at)
+        out_dim = take_int(dims[:1], "output dim", at)
+        in_dim = take_int(dims[1:], "input dim", at)
         if out_dim < 0 or in_dim < 0:
             raise DocumentError("shape dims must be non-negative", at)
         if activation == "step":
-            thresholds = parse_floats(threshold_tokens, out_dim, at)
+            thresholds = parse_floats(threshold_tokens, out_dim, threshold_line)
         reader.expect("weights")
         # rows are allocated as they are read, never from the declared shape alone
         rows = []

@@ -12,6 +12,11 @@ yet). Unread input columns join the computation at the layer that reads them,
 with the skipped layers' effect applied, so the output is the dense loop's: bit
 for bit wherever the sums are exact, as on every compiled network fed encoded
 strings (see ``forward_batch``).
+
+The blocks stand for the whole layers while every value a layer reads is
+finite: each skipped zero weight then adds an exact zero, where zero times inf
+is nan. ``forward_batch`` and ``compiler._walk`` judge that one rule on the
+carriers they compute, before each layer.
 """
 
 from __future__ import annotations
@@ -163,20 +168,15 @@ class _Step(NamedTuple):
     bias: np.ndarray | float
     thresholds: np.ndarray | None
     fresh: int
-    gain: float  # largest absolute row sum of the whole layer: |z| <= gain * max|a| + bias_bound
-    bias_bound: float
 
 
 def _step(layer: LayerSpec, rows: int, cols: int, fresh: int) -> _Step:
     whole = rows == layer.output_dim and cols == layer.input_dim
     weights = layer.weights if whole else np.ascontiguousarray(layer.weights[:rows, :cols])
     thresholds = None if layer.thresholds is None else layer.thresholds[:rows]
-    with np.errstate(over="ignore"):  # a gain of inf just sends every batch down the dense plan
-        gain = float(np.abs(layer.weights).sum(axis=1).max(initial=0.0))
-    bias_bound = float(np.abs(layer.bias).max(initial=0.0))
     # adding the scalar 0.0 is the same elementwise sum as adding a vector of 0.0, and faster
-    bias = 0.0 if bias_bound == 0.0 and not np.signbit(layer.bias).any() else layer.bias[:rows]
-    return _Step(weights, bias, thresholds, fresh, gain, bias_bound)
+    bias = 0.0 if not layer.bias.any() and not np.signbit(layer.bias).any() else layer.bias[:rows]
+    return _Step(weights, bias, thresholds, fresh)
 
 
 def apply_activation(
@@ -199,22 +199,6 @@ def apply_activation(
         # per-unit threshold, broadcast over leading batch axis
         return (z > thresholds if strict else z >= thresholds).astype(float)
     raise ValueError(f"unknown activation {name!r}")
-
-
-# Below this bound a sum cannot round up to inf, so every value a layer reads is
-# finite and each skipped zero weight would only have added an exact zero.
-_FINITE_BOUND = 1e300
-
-
-def _stays_finite(plan: tuple[_Step, ...], inputs: np.ndarray) -> bool:
-    """Whether every pre-activation is provably finite, bounding |values| layer by layer."""
-    bound = max(-float(inputs.min(initial=0.0)), float(inputs.max(initial=0.0)))  # nan stays nan
-    for step in plan:
-        bound = step.gain * bound + step.bias_bound
-        if not bound < _FINITE_BOUND:
-            return False
-        bound = max(bound, 1.0)  # sigmoid and step units output up to 1
-    return True
 
 
 def _passed_through(columns: np.ndarray, activations: list[str]) -> np.ndarray:
@@ -247,17 +231,31 @@ def _layer_step(layer: LayerSpec, step: _Step, a: np.ndarray, fresh: np.ndarray,
     return apply_activation(layer.activation, z, step.thresholds, layer.strict)
 
 
+def _run(net: NetworkSpec, plan: tuple[_Step, ...], x: np.ndarray, judged: bool) -> np.ndarray | None:
+    """``plan`` on ``x``; None if ``judged`` and a layer would read a value that is not finite."""
+    a, read, seen = x[:, :0], 0, []
+    for layer, step in zip(net.layers, plan):
+        if judged and not np.isfinite(a).all():
+            return None
+        a = _layer_step(layer, step, a, x[:, read:read + step.fresh], seen)
+        read += step.fresh
+        seen.append(layer.activation)
+    if read < x.shape[1]:
+        a = np.concatenate([a, _passed_through(x[:, read:], seen)], axis=1)
+    return a
+
+
 def forward_batch(net: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
     """Evaluate the network on a batch of row vectors.
 
-    Each layer multiplies only its active block (``NetworkSpec._plan``), and
-    the output is the dense ``act(a @ W.T + b)`` loop's: the skipped products
-    are exact zeros, so it is bit for bit the same wherever the sums are exact,
-    as on every compiled network fed encoded strings. Sums of three or more
-    inexact floats may round differently, as the dense loop's own do when the
-    batch size changes, because BLAS picks its kernel by matrix shape. A zero
-    weight times inf is nan, so a batch that might carry a non-finite value
-    into any layer runs every layer whole.
+    Finite inputs run on the active blocks (``NetworkSpec._plan``). At the
+    first layer that would read a carrier that is not finite (the module's
+    rule), the batch runs again on the dense plan, as non-finite inputs do
+    from the start. So the output is the dense ``act(a @ W.T + b)`` loop's,
+    bit for bit wherever the sums are exact, as on every compiled network fed
+    encoded strings. Sums of three or more inexact floats may round
+    differently, as the dense loop's own do when the batch size changes,
+    because BLAS picks its kernel by matrix shape.
     """
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 2:
@@ -266,15 +264,11 @@ def forward_batch(net: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input dimension mismatch: network expects {net.input_dim}, got {x.shape[1]}"
         )
-    plan = net._plan if _stays_finite(net._plan, x) else net._dense_plan
-    a, read, seen = x[:, :0], 0, []
-    for layer, step in zip(net.layers, plan):
-        a = _layer_step(layer, step, a, x[:, read:read + step.fresh], seen)
-        read += step.fresh
-        seen.append(layer.activation)
-    if read < x.shape[1]:
-        a = np.concatenate([a, _passed_through(x[:, read:], seen)], axis=1)
-    return a
+    if np.isfinite(x).all():
+        a = _run(net, net._plan, x, judged=True)
+        if a is not None:
+            return a
+    return _run(net, net._dense_plan, x, judged=False)
 
 
 def forward(net: NetworkSpec, x: np.ndarray) -> np.ndarray:

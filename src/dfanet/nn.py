@@ -25,20 +25,18 @@ from .network import apply_activation
 LOSSES = ("bce", "mse", "softmax_ce")
 
 
+# each trainable activation's derivative, from its pre-activation z and its output a
+_GRADIENTS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
+    "relu": lambda z, a: (z > 0).astype(float),
+    "sigmoid": lambda z, a: a * (1.0 - a),
+    "identity": lambda z, a: np.ones_like(z),
+}
+
+
 def _check_trainable(activations: Sequence[str]) -> None:
     for act in activations:
-        if act not in ("relu", "sigmoid", "identity"):
+        if act not in _GRADIENTS:
             raise ValueError(f"unknown trainable activation {act!r}")
-
-
-def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return (z > 0).astype(float)
-    if name == "sigmoid":
-        return a * (1.0 - a)
-    if name == "identity":
-        return np.ones_like(z)
-    raise ValueError(f"unknown trainable activation {name!r}")
 
 
 def _loss_and_output_grad(
@@ -73,7 +71,7 @@ def _loss_and_output_grad(
         return value, (np.exp(log_probs) - targets) * counts / total
     if loss == "mse":
         diff = a_last - targets
-        grad = diff * counts / total * _activation_grad(last_activation, z_last, a_last)
+        grad = diff * counts / total * _GRADIENTS[last_activation](z_last, a_last)
         return float(0.5 * (diff * diff * counts).sum() / total), grad
     raise ValueError(f"unknown loss {loss!r}; choose from {LOSSES}")
 
@@ -109,7 +107,7 @@ def _stack_backward(
         grads[2 * layer + 1] = dz.sum(axis=0)
         if layer:
             upstream = dz @ params[2 * layer]
-            dz = upstream * _activation_grad(activations[layer - 1], pre[layer - 1], post[layer])
+            dz = upstream * _GRADIENTS[activations[layer - 1]](pre[layer - 1], post[layer])
     return grads, dz
 
 
@@ -323,7 +321,7 @@ class UnrolledNet:
         grads, dz = _stack_backward(head, self.head_activations, pre, post, dz)
         d_state = dz @ head[0]  # gradient wrt the final carried state
         for params, (pre, post) in zip(self.step_weights[::-1], stacks[::-1]):
-            dz = d_state * _activation_grad(self.state_activation, pre[-1], post[-1])
+            dz = d_state * _GRADIENTS[self.state_activation](pre[-1], post[-1])
             block_grads, dz = _stack_backward(params, ("relu", self.state_activation), pre, post, dz)
             grads[:0] = block_grads
             d_state = (dz @ params[0])[:, : self.state_dim]

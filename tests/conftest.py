@@ -8,12 +8,14 @@ quadratic table-filling algorithm rather than partition refinement.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from dfanet.automata import Dfa
+from dfanet.compiler import build_unrolled_acceptor
 
 
 def plain_fold(dfa: Dfa, string) -> int:
@@ -98,3 +100,19 @@ def parity():
     from dfanet.automata import make_parity_dfa
 
     return make_parity_dfa()
+
+
+def scaled_acceptor(dfa: Dfa, length: int):
+    """``dfa``'s acceptor with its pair stages scaled by 2^500 and its next-state stages by 2^-500.
+
+    Only the transition rows are scaled, so every value stays exact: a carrier
+    is 0 or 2^500 after a pair stage and 0 or 1 after a next-state stage.
+    """
+    net = build_unrolled_acceptor(dfa, length)
+    layers = list(net.layers)
+    for index in range(2 * length):
+        layer, rows = layers[index], (dfa.state_count * dfa.alphabet_size if index % 2 == 0 else dfa.state_count)
+        scale = np.ones(layer.output_dim)
+        scale[:rows] = 2.0**500 if index % 2 == 0 else 2.0**-500
+        layers[index] = replace(layer, weights=layer.weights * scale[:, None], bias=layer.bias * scale)
+    return replace(net, layers=tuple(layers))

@@ -22,7 +22,7 @@ from dfanet.encodings import binary_state_encoding, encode_string, encode_string
 from dfanet.experiments import gen_binary_transition_dataset, gen_transition_dataset
 from dfanet.network import LayerSpec, NetworkSpec, forward, forward_batch
 
-from conftest import dfas, plain_accepts, plain_fold
+from conftest import dfas, plain_accepts, plain_fold, scaled_acceptor
 
 
 def transition_input(dfa, state, symbol):
@@ -385,18 +385,12 @@ def test_verify_exact_walks_a_net_whose_readout_weight_is_inf(parity, monkeypatc
 def test_verify_exact_walks_a_net_whose_static_bound_overflows(n, length, monkeypatch):
     """Pair stages scaled by 2^500 and next-state stages by 2^-500: every value stays exact.
 
-    The static bound of ``forward_batch`` multiplies the gains, 2^501 per
-    module, and passes 1e300 at the second module, so the dense plan runs.
-    The carriers themselves are 0 or 2^500 after a pair stage, 0 or 1 after a
-    next-state stage.
+    The layer gains multiply to 2^501 per module, but the carriers the walk
+    reads are 0 or 2^500 after a pair stage and 0 or 1 after a next-state
+    stage. All are finite, so the walk decides every string.
     """
     dfa = make_mod_counter_dfa(n)
-    net = build_unrolled_acceptor(dfa, length)
-    for index in range(2 * length):
-        layer, rows = net.layers[index], (n * 2 if index % 2 == 0 else n)
-        scale = np.ones(layer.output_dim)
-        scale[:rows] = 2.0**500 if index % 2 == 0 else 2.0**-500
-        net = with_layer(net, index, weights=layer.weights * scale[:, None], bias=layer.bias * scale)
+    net = scaled_acceptor(dfa, length)
     calls = counting_forward_batch(monkeypatch)
     report = verify_exact(net, dfa, length)
     assert calls == []

@@ -196,6 +196,9 @@ BAD_LAYERS = [
     ("tanh", "1 1", 5),  # unknown activation: the layer's own line
     ("relu", "-1 1", 7),  # negative dim: the shape line
     ("relu", "1000000000 1000000000", 9),  # a declared shape far beyond the rows given
+    # a step layer's strict and thresholds lines ride in the activation slot, so thresholds is line 8
+    ("step\nstrict false\nthresholds 0.5 0.5", "1 1", 8),  # two thresholds for one unit
+    ("step\nstrict false\nthresholds half", "1 1", 8),  # a bad threshold literal
 ]
 
 

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dfas
-from dfanet.automata import make_mod_counter_dfa, make_parity_dfa
+from conftest import dfas, scaled_acceptor
+from dfanet.automata import accepts_batch, all_strings, make_mod_counter_dfa, make_parity_dfa
 from dfanet.compiler import (
     build_binary_threshold_network,
     build_compressed_embedding,
     build_embedding_head,
     build_transition_layer,
     build_unrolled_acceptor,
+    verify_sampled,
 )
 from dfanet.encodings import encode_strings
 from dfanet.network import LayerSpec, NetworkSpec, apply_activation, forward, forward_batch
@@ -274,6 +275,21 @@ def test_forward_batch_bytes_match_dense_loop_when_a_layer_overflows():
     net = NetworkSpec(layers=(first, second), input_dim=2, output_dim=2)
     assert first.passthrough_width == 1
     assert_same_bytes(net, np.array([[big, 1.0], [1.0, -0.0], [-big, 3.0]]))
+
+
+@pytest.mark.parametrize("n, length", [(2, 3), (5, 6)])
+def test_forward_batch_runs_the_blocks_while_every_carrier_is_finite(n, length):
+    # the layer gains multiply to 2^501 per module, but every carrier is 0, 1 or 2^500
+    dfa = make_mod_counter_dfa(n)
+    net = scaled_acceptor(dfa, length)
+    strings = all_strings(dfa.alphabet_size, length)
+    inputs = encode_strings(strings, dfa.alphabet_size)
+    got = forward_batch(net, inputs)
+    assert "_dense_plan" not in vars(net)
+    assert got.tobytes() == dense_forward(net, inputs).tobytes()
+    assert np.array_equal(got[:, 0] > 0.5, accepts_batch(dfa, strings))
+    assert verify_sampled(net, dfa, length, 50).exact  # its draws are among the strings above
+    assert "_dense_plan" not in vars(net)
 
 
 @pytest.mark.parametrize("dfa", [make_parity_dfa(), make_mod_counter_dfa(4)], ids=["parity", "mod4"])
