@@ -48,7 +48,7 @@ corrupted = NetworkSpec(
     output_dim=net.output_dim,
 )
 report = verify_exact(corrupted, parity, 4)
-witness, expected, got = report.mismatches[0]
+witness, expected, got = report.witness
 print(f"\ncorrupted readout: exact={report.exact}, "
       f"first witness {''.join(map(str, witness))!r} "
       f"(automaton says {expected}, network says {got})")

@@ -112,12 +112,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         report = verify_exact(net, doc.dfa, args.length, budget=args.budget)
         mode = "exhaustive"
-    matched = report.total_strings - len(report.mismatches)
+    matched = report.total_strings - report.mismatch_count
     print(f"{matched}/{report.total_strings} {mode} checks match")
     if report.exact:
         print("exact" if mode == "exhaustive" else "no mismatch found")
         return 0
-    witness, expected, got = report.mismatches[0]
+    witness, expected, got = report.witness
     rendered = "".join(doc.symbol_names[s] for s in witness) if witness else "(empty string)"
     print(f"first witness: {rendered!r} automaton={expected} network={got}")
     return MISMATCH_ERROR

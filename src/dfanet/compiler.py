@@ -17,12 +17,20 @@ and Karp: it merges byte-equal pairs and extends each by every symbol block the
 next layer reads, moving the carrier through the layers and the state through
 the symbols. Where it cannot walk, it runs every string through
 ``forward_batch``.
+
+A network that is not exact is judged from the same tables: pushing string
+counts from the start pair to the final pairs counts the mismatching strings,
+and a descent towards a bad final pair finds the first of them. So the report
+carries a count and a witness, and lists every mismatching string only when its
+``mismatches`` are read.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -236,17 +244,32 @@ def build_compressed_embedding(
     )
 
 
+Mismatch = tuple[tuple[int, ...], bool, bool]  # (string, automaton verdict, network verdict)
+
+
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of comparing a compiled network against its source automaton."""
+    """Outcome of comparing a compiled network against its source automaton.
+
+    ``mismatch_count`` strings (or draws) got a network verdict that differs
+    from the automaton's; ``witness`` is the first of them, None when there is
+    none. ``mismatches`` lists them all, in order, and is computed the first
+    time it is read, by calling ``list_mismatches``.
+    """
 
     total_strings: int
-    mismatches: tuple[tuple[tuple[int, ...], bool, bool], ...]
+    mismatch_count: int
+    witness: Mismatch | None
     exact: bool
+    list_mismatches: Callable[[], tuple[Mismatch, ...]] = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.exact != (len(self.mismatches) == 0):
-            raise ValueError("exact flag inconsistent with mismatch list")
+        if not self.exact == (self.mismatch_count == 0) == (self.witness is None):
+            raise ValueError("exact flag inconsistent with the mismatch count and witness")
+
+    @cached_property
+    def mismatches(self) -> tuple[Mismatch, ...]:
+        return self.list_mismatches()
 
 
 def _check_dims(net: NetworkSpec, dfa: Dfa, length: int) -> None:
@@ -260,16 +283,14 @@ def _check_dims(net: NetworkSpec, dfa: Dfa, length: int) -> None:
         raise ValueError("network has no output unit to read a verdict from")
 
 
-def _mismatches(
-    strings: np.ndarray, expected: np.ndarray, got: np.ndarray
-) -> list[tuple[tuple[int, ...], bool, bool]]:
+def _mismatches(strings: np.ndarray, expected: np.ndarray, got: np.ndarray) -> list[Mismatch]:
     """The rows of ``strings`` whose network verdict ``got`` differs from the automaton's ``expected``."""
     bad = np.flatnonzero(expected != got)
     found = zip(strings[bad].tolist(), expected[bad].tolist(), got[bad].tolist())
     return [(tuple(string), want, have) for string, want, have in found]
 
 
-def _compare_on_strings(net: NetworkSpec, dfa: Dfa, strings: np.ndarray) -> list[tuple[tuple[int, ...], bool, bool]]:
+def _compare_on_strings(net: NetworkSpec, dfa: Dfa, strings: np.ndarray) -> list[Mismatch]:
     # inf or nan weights, or an overflow, give inf or nan outputs; the verdict
     # compares them like any other value (nan reads as "reject"), so no warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -359,6 +380,51 @@ def _final_pairs(walk: _Walk, strings: np.ndarray, k: int) -> np.ndarray:
     return pairs
 
 
+def _tally(walk: _Walk, k: int) -> tuple[int, Mismatch]:
+    """The number of strings whose final pair's verdicts differ, and the first of them.
+
+    ``walk`` has at least one such pair. The count pushes the number of strings
+    that reach each pair forward through the tables, from one string at pair 0.
+    The first string descends from pair 0 through the smallest symbol block
+    whose pair can still reach a bad final pair. Counts stay exact in int64
+    while k^T fits in it.
+    """
+    bad = walk.verdicts != walk.accepted
+    counts = np.ones(1, dtype=np.int64)
+    for table, pairs in zip(walk.tables, [len(table) for table in walk.tables[1:]] + [len(bad)]):
+        reached = np.zeros(pairs, dtype=np.int64)
+        np.add.at(reached, table, counts[:, None])
+        counts = reached
+    live = [bad]  # live[s]: the pairs of stage s that reach a bad final pair
+    for table in reversed(walk.tables):
+        live.insert(0, live[0][table].any(axis=1))
+    pair, string = 0, []
+    for table, b, reaches in zip(walk.tables, walk.blocks, live[1:]):
+        j = int(np.argmax(reaches[table[pair]]))
+        pair = int(table[pair, j])
+        string += [j // k**i % k for i in range(b - 1, -1, -1)]
+    return int(counts[bad].sum()), (tuple(string), bool(walk.accepted[pair]), bool(walk.verdicts[pair]))
+
+
+def _list_mismatches(net: NetworkSpec, dfa: Dfa, length: int, walk: _Walk | None) -> tuple[Mismatch, ...]:
+    """Every mismatch, in lexicographic order, chunk by chunk.
+
+    Each string's verdicts are read from its final pair in the walk's tables,
+    or, with no walk, from ``forward_batch``.
+    """
+    k, total = dfa.alphabet_size, dfa.alphabet_size**length
+    powers = k ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    mismatches: list[Mismatch] = []
+    for start in range(0, total, _CHUNK):
+        strings = (np.arange(start, min(start + _CHUNK, total), dtype=np.int64)[:, None] // powers) % k
+        if walk is None:
+            mismatches.extend(_compare_on_strings(net, dfa, strings))
+        else:
+            pairs = _final_pairs(walk, strings, k)
+            mismatches.extend(_mismatches(strings, walk.accepted[pairs], walk.verdicts[pairs]))
+    return tuple(mismatches)
+
+
 def verify_exact(
     net: NetworkSpec,
     dfa: Dfa,
@@ -371,9 +437,12 @@ def verify_exact(
     the network's plan and the automaton together over their distinct
     (carrier, state) pairs (see the module docstring); when no final pair's
     verdicts differ, the network is exact and no string is enumerated.
-    Otherwise every mismatch is listed, in lexicographic order, by reading each
-    string's final pair from the walk's tables, chunk by chunk, and taking both
-    verdicts from it.
+    Otherwise the walk's tables give the mismatch count, by pushing string
+    counts from the start pair to the final pairs, and the first witness, by
+    descending from the start pair towards a bad final pair. No string is
+    listed until ``mismatches`` is read; that lists every mismatch, in
+    lexicographic order, by reading each string's final pair from the tables,
+    chunk by chunk.
 
     The walk is sound because it runs the same layer arithmetic as
     ``forward_batch`` on the same values, under the same finiteness rule (see
@@ -384,12 +453,12 @@ def verify_exact(
     0.5 can differ, as it already does between enumeration chunk shapes.
 
     It falls back to running all k^T strings through ``forward_batch`` (in
-    chunks, so memory stays bounded) when a layer reads part of a symbol block,
-    the output passes input columns through, a layer would read a carrier that
-    is not finite, or one stage's pairs times its symbol blocks exceed one
-    chunk. Refuses lengths whose k^T exceeds ``budget``, and enumerates at most
-    2^63 - 1 strings whatever the budget (it numbers them in int64); use
-    sampled verification beyond either.
+    chunks, so memory stays bounded) and listing every mismatch when a layer
+    reads part of a symbol block, the output passes input columns through, a
+    layer would read a carrier that is not finite, or one stage's pairs times
+    its symbol blocks exceed one chunk. Refuses lengths whose k^T exceeds
+    ``budget``, and counts at most 2^63 - 1 strings whatever the budget (it
+    numbers them in int64); use sampled verification beyond either.
     """
     _check_dims(net, dfa, length)
     k = dfa.alphabet_size
@@ -401,22 +470,18 @@ def verify_exact(
         )
     walk = _walk(net, dfa, _CHUNK)
     if walk is not None and np.array_equal(walk.verdicts, walk.accepted):
-        return VerificationReport(total_strings=total, mismatches=(), exact=True)
+        return VerificationReport(total, 0, None, exact=True, list_mismatches=tuple)
     if total > np.iinfo(np.int64).max:
         raise EnumerationBudgetError(
             f"{k}^{length} = {total} strings cannot be numbered in 64 bits; use sampled verification"
         )
-    mismatches: list[tuple[tuple[int, ...], bool, bool]] = []
-    powers = k ** np.arange(length - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, _CHUNK):
-        strings = (np.arange(start, min(start + _CHUNK, total), dtype=np.int64)[:, None] // powers) % k
-        if walk is None:
-            mismatches.extend(_compare_on_strings(net, dfa, strings))
-        else:
-            pairs = _final_pairs(walk, strings, k)
-            mismatches.extend(_mismatches(strings, walk.accepted[pairs], walk.verdicts[pairs]))
+    if walk is None:
+        listed = _list_mismatches(net, dfa, length, None)
+        return VerificationReport(total, len(listed), listed[0] if listed else None, exact=not listed,
+                                  list_mismatches=partial(tuple, listed))
+    count, witness = _tally(walk, k)
     return VerificationReport(
-        total_strings=total, mismatches=tuple(mismatches), exact=not mismatches
+        total, count, witness, exact=False, list_mismatches=partial(_list_mismatches, net, dfa, length, walk)
     )
 
 
@@ -430,15 +495,16 @@ def verify_sampled(
     """Spot-check the network on ``count`` uniform strings of ``length``.
 
     ``mismatches`` holds one entry per draw whose verdict differs, sorted, so a
-    string drawn twice is listed twice and ``total_strings - len(mismatches)``
-    draws matched.
+    string drawn twice is listed twice and ``total_strings - mismatch_count``
+    draws matched; ``witness`` is the first entry.
     """
     _check_dims(net, dfa, length)
     if count < 1:
         raise ValueError("sample count must be positive")
     rng = np.random.default_rng(seed)
     strings = rng.integers(0, dfa.alphabet_size, size=(count, length))
-    mismatches = sorted(_compare_on_strings(net, dfa, strings))
+    mismatches = tuple(sorted(_compare_on_strings(net, dfa, strings)))
     return VerificationReport(
-        total_strings=count, mismatches=tuple(mismatches), exact=not mismatches
+        count, len(mismatches), mismatches[0] if mismatches else None, exact=not mismatches,
+        list_mismatches=partial(tuple, mismatches),
     )

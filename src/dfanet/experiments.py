@@ -491,7 +491,7 @@ def run_theorem1(
         verification = verify_exact(build_unrolled_acceptor(dfa, config["T"]), dfa, config["T"])
         total = verification.total_strings
         return {
-            "constructive_accuracy": (total - len(verification.mismatches)) / total,
+            "constructive_accuracy": (total - verification.mismatch_count) / total,
             "constructive_exact": verification.exact,
         }
 
@@ -657,7 +657,7 @@ def run_corollary31(
     for _, dfa in families:
         for length in range(max_exact_length + 1):
             report = verify_exact(build_unrolled_acceptor(dfa, length), dfa, length)
-            mismatch_total += len(report.mismatches)
+            mismatch_total += report.mismatch_count
             checked += report.total_strings
     exactness_pass = mismatch_total == 0
 

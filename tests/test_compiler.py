@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dfanet.compiler
-from dfanet.automata import accepts_batch, all_strings, make_mod_counter_dfa, random_dfa
+from dfanet.automata import Dfa, accepts_batch, all_strings, make_mod_counter_dfa, make_parity_dfa, random_dfa
 from dfanet.compiler import (
     EnumerationBudgetError,
     ProjectionError,
@@ -441,6 +441,76 @@ def test_verify_exact_walks_compiled_nets_without_a_forward_pass(make, monkeypat
             report = verify_exact(flipped_readout(net, 0), dfa, length)  # mismatches listed from the tables
             assert report.total_strings == dfa.alphabet_size**length
     assert verify_exact(build_unrolled_acceptor(make_mod_counter_dfa(4), 12), make_mod_counter_dfa(4), 12).exact
+
+
+def flipped_readout_entries(net, flips):
+    """``net`` with the readout entries of the states where ``flips`` is true inverted."""
+    readout = net.layers[-1]
+    if readout.input_dim == 0:  # T=0: the bias holds the start state's entry; the first flag decides it
+        return with_layer(net, -1, bias=np.where(flips[:1], 1.0 - readout.bias, readout.bias))
+    weights = readout.weights.copy()
+    weights[0, flips] = 1.0 - weights[0, flips]
+    return with_layer(net, -1, weights=weights)
+
+
+def assert_count_and_witness_match_enumeration(net, dfa, length):
+    report = verify_exact(net, dfa, length)
+    _, mismatches, exact = enumerated_report(net, dfa, length)
+    assert report.mismatch_count == len(mismatches) and report.exact == exact
+    # repr, so that a numpy integer or bool in place of a Python one fails too
+    assert repr(report.witness) == repr(mismatches[0] if mismatches else None)
+    assert report.mismatch_count == len(report.mismatches)
+    assert report.witness == (report.mismatches[0] if report.mismatches else None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dfas(max_states=6, max_symbols=3), st.integers(0, 7), st.data())
+def test_verify_exact_counts_and_finds_the_first_witness_as_enumeration_does(dfa, length, data):
+    n = dfa.state_count
+    flips = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    acceptor = flipped_readout_entries(build_unrolled_acceptor(dfa, length), flips)
+    assert_count_and_witness_match_enumeration(acceptor, dfa, length)
+    if length:  # the first pair unit also reads the last column: the first stage reads every block at once
+        weights = acceptor.layers[0].weights.copy()
+        weights[0, -1] += 1.0
+        net = with_layer(acceptor, 0, weights=weights)
+        assert [step.fresh for step in net._plan if step.fresh] == [net.input_dim]
+        assert_count_and_witness_match_enumeration(net, dfa, length)
+    parity, half_length = make_parity_dfa(), data.draw(st.integers(2, 7))
+    flips = np.array(data.draw(st.lists(st.booleans(), min_size=2, max_size=2)))
+    assert_count_and_witness_match_enumeration(flipped_readout_entries(half_block_net(parity, half_length), flips),
+                                               parity, half_length)
+
+
+@pytest.mark.parametrize("length", range(8))
+def test_verify_exact_counts_over_a_one_symbol_alphabet(length):
+    dfa = Dfa(state_count=3, alphabet_size=1, transitions=np.array([[1], [2], [0]]), start_state=0,
+              accepting=frozenset({0}))
+    for state in range(3):
+        assert_count_and_witness_match_enumeration(flipped_readout(build_unrolled_acceptor(dfa, length), state),
+                                                   dfa, length)
+
+
+def test_verify_exact_enumeration_keeps_the_first_witness_across_chunks(parity, monkeypatch):
+    monkeypatch.setattr(dfanet.compiler, "_CHUNK", 2)
+    for flips in ([False, True], [True, False], [True, True]):
+        assert_count_and_witness_match_enumeration(flipped_readout_entries(half_block_net(parity, 4), np.array(flips)),
+                                                   parity, 4)
+
+
+def test_verify_exact_counts_and_finds_the_witness_without_listing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a mismatch was listed")
+
+    monkeypatch.setattr(dfanet.compiler, "_mismatches", refuse)
+    monkeypatch.setattr(dfanet.compiler, "_final_pairs", refuse)
+    dfa = make_mod_counter_dfa(4)
+    report = verify_exact(flipped_readout(build_unrolled_acceptor(dfa, 12), 1), dfa, 12)
+    # strings whose count of ones is 1 modulo 4: C(12, 1) + C(12, 5) + C(12, 9)
+    assert report.mismatch_count == 12 + 792 + 220 and not report.exact
+    assert report.witness == ((0,) * 11 + (1,), False, True)
+    with pytest.raises(AssertionError, match="listed"):
+        report.mismatches
 
 
 def test_verify_exact_refuses_to_number_more_strings_than_int64_holds(parity, monkeypatch):
