@@ -253,19 +253,23 @@ class VerificationReport:
 
     ``mismatch_count`` strings (or draws) got a network verdict that differs
     from the automaton's; ``witness`` is the first of them, None when there is
-    none. ``mismatches`` lists them all, in order, and is computed the first
-    time it is read, by calling ``list_mismatches``.
+    none, and ``exact`` says there is none. ``mismatches`` lists them all, in
+    order, and is computed the first time it is read, by calling
+    ``list_mismatches``.
     """
 
     total_strings: int
     mismatch_count: int
     witness: Mismatch | None
-    exact: bool
     list_mismatches: Callable[[], tuple[Mismatch, ...]] = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.exact == (self.mismatch_count == 0) == (self.witness is None):
-            raise ValueError("exact flag inconsistent with the mismatch count and witness")
+        if (self.mismatch_count == 0) != (self.witness is None):
+            raise ValueError("a report has a witness exactly when it has mismatches")
+
+    @property
+    def exact(self) -> bool:
+        return self.mismatch_count == 0
 
     @cached_property
     def mismatches(self) -> tuple[Mismatch, ...]:
@@ -470,19 +474,16 @@ def verify_exact(
         )
     walk = _walk(net, dfa, _CHUNK)
     if walk is not None and np.array_equal(walk.verdicts, walk.accepted):
-        return VerificationReport(total, 0, None, exact=True, list_mismatches=tuple)
+        return VerificationReport(total, 0, None, tuple)
     if total > np.iinfo(np.int64).max:
         raise EnumerationBudgetError(
             f"{k}^{length} = {total} strings cannot be numbered in 64 bits; use sampled verification"
         )
     if walk is None:
         listed = _list_mismatches(net, dfa, length, None)
-        return VerificationReport(total, len(listed), listed[0] if listed else None, exact=not listed,
-                                  list_mismatches=partial(tuple, listed))
+        return VerificationReport(total, len(listed), listed[0] if listed else None, partial(tuple, listed))
     count, witness = _tally(walk, k)
-    return VerificationReport(
-        total, count, witness, exact=False, list_mismatches=partial(_list_mismatches, net, dfa, length, walk)
-    )
+    return VerificationReport(total, count, witness, partial(_list_mismatches, net, dfa, length, walk))
 
 
 def verify_sampled(
@@ -504,7 +505,5 @@ def verify_sampled(
     rng = np.random.default_rng(seed)
     strings = rng.integers(0, dfa.alphabet_size, size=(count, length))
     mismatches = tuple(sorted(_compare_on_strings(net, dfa, strings)))
-    return VerificationReport(
-        count, len(mismatches), mismatches[0] if mismatches else None, exact=not mismatches,
-        list_mismatches=partial(tuple, mismatches),
-    )
+    witness = mismatches[0] if mismatches else None
+    return VerificationReport(count, len(mismatches), witness, partial(tuple, mismatches))

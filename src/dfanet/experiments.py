@@ -8,6 +8,10 @@ evaluate the exact compiled counterpart, so their reports carry both the
 learned and the constructive numbers; cor31 verifies its compiled acceptors
 itself, and thm2 and cor21 carry no counterpart yet.
 
+A generated ``Dataset`` is only its input and label rows. What made it, the
+seed tuple and the automaton, is known to the worker that called the
+generator, and any record of a run takes it from there.
+
 The t critical value is found by bisection on the t CDF, which for integer
 degrees of freedom is a finite sum (Abramowitz & Stegun 26.7.3-26.7.4).
 """
@@ -34,10 +38,9 @@ from .compiler import (
     build_binary_threshold_network,
     build_transition_layer,
     build_unrolled_acceptor,
-    dfa_fingerprint,
     verify_exact,
 )
-from .encodings import StateEncoding, binary_state_encoding, bits_for_state_count, encode_strings
+from .encodings import binary_state_encoding, bits_for_state_count, encode_strings
 from .encodings import one_hot_state_encoding, transition_table
 from .network import NetworkSpec
 from .network import forward_batch as spec_forward_batch
@@ -55,13 +58,10 @@ _DATA, _SPLIT, _INIT, _TEST = 11, 13, 17, 19
 
 @dataclass(frozen=True)
 class Dataset:
-    """Encoded inputs with aligned label rows and generation provenance."""
+    """Encoded input rows and their label rows, aligned by index."""
 
     inputs: np.ndarray
     labels: np.ndarray
-    length: int
-    alphabet_size: int
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.inputs.shape[0] != self.labels.shape[0]:
@@ -158,55 +158,33 @@ def _make_report(
 # dataset generators
 
 
-def _uniform_dataset(
-    dfa: Dfa, length: int, count: int, seed, generator: str, table: np.ndarray
-) -> Dataset:
+def _uniform_dataset(dfa: Dfa, length: int, count: int, seed, table: np.ndarray) -> Dataset:
     """Uniform i.i.d. strings of ``length``; a string's label is ``table[reached state]``."""
     if count < 1:
         raise ValueError("count must be positive")
     rng = np.random.default_rng(seed)
     strings = rng.integers(0, dfa.alphabet_size, size=(count, length))
-    return Dataset(
-        inputs=encode_strings(strings, dfa.alphabet_size),
-        labels=table[run_batch(dfa, strings)],
-        length=length,
-        alphabet_size=dfa.alphabet_size,
-        provenance={
-            "generator": generator,
-            "dfa_sha256": dfa_fingerprint(dfa),
-            "seed": seed,
-            "count": count,
-            "length": length,
-        },
-    )
+    return Dataset(encode_strings(strings, dfa.alphabet_size), table[run_batch(dfa, strings)])
 
 
 def gen_dfa_dataset(dfa: Dfa, length: int, count: int, seed) -> Dataset:
     """Uniform i.i.d. strings of ``length`` labeled by acceptance (0/1)."""
-    labels = dfa.accepting_mask[:, None].astype(float)
-    return _uniform_dataset(dfa, length, count, seed, "uniform-accept", labels)
+    return _uniform_dataset(dfa, length, count, seed, dfa.accepting_mask[:, None].astype(float))
 
 
 def gen_dfa_state_dataset(dfa: Dfa, length: int, count: int, seed) -> Dataset:
     """Uniform i.i.d. strings labeled by the one-hot of the reached state."""
-    return _uniform_dataset(dfa, length, count, seed, "uniform-state", np.eye(dfa.state_count))
-
-
-def _transition_pairs(dfa: Dfa, encoding: StateEncoding, generator: str) -> Dataset:
-    """All n*k pairs [state code; one-hot symbol] -> next state code, row i*k + j."""
-    inputs, labels = transition_table(dfa, encoding)
-    provenance = {"generator": generator, "dfa_sha256": dfa_fingerprint(dfa)}
-    return Dataset(inputs, labels, length=1, alphabet_size=dfa.alphabet_size, provenance=provenance)
+    return _uniform_dataset(dfa, length, count, seed, np.eye(dfa.state_count))
 
 
 def gen_transition_dataset(dfa: Dfa) -> Dataset:
-    """All n*k one-hot pairs [e_state; u_symbol] -> one-hot next state."""
-    return _transition_pairs(dfa, one_hot_state_encoding(dfa.state_count), "transition-pairs")
+    """All n*k one-hot pairs [e_state; u_symbol] -> one-hot next state, row i*k + j."""
+    return Dataset(*transition_table(dfa, one_hot_state_encoding(dfa.state_count)))
 
 
 def gen_binary_transition_dataset(dfa: Dfa) -> Dataset:
-    """All n*k pairs [binary state code; one-hot symbol] -> next state code."""
-    return _transition_pairs(dfa, binary_state_encoding(dfa.state_count), "binary-transition-pairs")
+    """All n*k pairs [binary state code; one-hot symbol] -> next state code, row i*k + j."""
+    return Dataset(*transition_table(dfa, binary_state_encoding(dfa.state_count)))
 
 
 PAD_SYMBOL = 2  # alphabet for the counting task: a=0, b=1, PAD=2
@@ -252,19 +230,7 @@ def gen_anbn_dataset(
         n, m = negatives[int(idx)]
         strings[row, : n + m] = [0] * n + [1] * m
 
-    return Dataset(
-        inputs=encode_strings(strings, 3),
-        labels=labels,
-        length=max_len,
-        alphabet_size=3,
-        provenance={
-            "generator": "anbn",
-            "n_range": (lo, hi),
-            "max_len": max_len,
-            "seed": seed,
-            "count": count,
-        },
-    )
+    return Dataset(encode_strings(strings, 3), labels)
 
 
 def split_dataset(dataset: Dataset, train_fraction: float, seed) -> tuple[Dataset, Dataset]:
@@ -276,17 +242,7 @@ def split_dataset(dataset: Dataset, train_fraction: float, seed) -> tuple[Datase
     cut = int(round(train_fraction * dataset.count))
     if cut == 0 or cut == dataset.count:
         raise ValueError("split leaves one side empty")
-
-    def take(idx: np.ndarray, role: str) -> Dataset:
-        return Dataset(
-            inputs=dataset.inputs[idx],
-            labels=dataset.labels[idx],
-            length=dataset.length,
-            alphabet_size=dataset.alphabet_size,
-            provenance={**dataset.provenance, "split": role},
-        )
-
-    return take(perm[:cut], "train"), take(perm[cut:], "eval")
+    return tuple(Dataset(dataset.inputs[part], dataset.labels[part]) for part in (perm[:cut], perm[cut:]))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +391,8 @@ def _compiled_accuracy(net: NetworkSpec, data: Dataset) -> float:
 def _map_jobs(worker: Callable, seeds: Sequence[int], jobs: int) -> list:
     if jobs <= 1:
         return [worker(seed) for seed in seeds]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a pool forks all of its workers at the first submit, so start no more than there are seeds
+    with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
         return list(pool.map(worker, seeds))
 
 

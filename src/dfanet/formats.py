@@ -8,6 +8,7 @@ network evaluates bit-identically.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,19 +48,7 @@ class DfaDocument:
 
 def _tokenize(line: str) -> list[tuple[str, int]]:
     """Tokens with their 1-based column positions; '#' starts a comment."""
-    tokens = []
-    i = 0
-    while i < len(line):
-        if line[i] == "#":
-            break
-        if line[i].isspace():
-            i += 1
-            continue
-        start = i
-        while i < len(line) and not line[i].isspace() and line[i] != "#":
-            i += 1
-        tokens.append((line[start:i], start + 1))
-    return tokens
+    return [(m.group(), m.start() + 1) for m in re.finditer(r"[^\s#]+", line.partition("#")[0])]
 
 
 def parse_dfa_document(text: str) -> DfaDocument:

@@ -14,7 +14,7 @@ Everything is double precision and deterministic per seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -331,12 +331,13 @@ class UnrolledNet:
 TrainableModel = TrainableMlp | UnrolledNet
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Full-batch Adam training configuration.
 
     Each epoch takes one step on the mean loss over the whole dataset; ``train``
     computes that mean over the distinct rows, each weighted by its count.
+    Frozen, so an ``AdamState`` that holds a config sees it unchanged.
     """
 
     epochs: int = 200
@@ -349,27 +350,21 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, each one flat vector over the parameter list."""
+    """An Adam run over a parameter list: its config, step count and two moment vectors.
 
-    learning_rate: float
-    beta1: float
-    beta2: float
-    epsilon: float
+    The hyperparameters are read from ``config``; each moment is one flat
+    vector over the concatenated parameters.
+    """
+
+    config: TrainConfig
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int = 0
-    first_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    second_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
     def for_parameters(cls, params: list[np.ndarray], config: TrainConfig) -> "AdamState":
         size = sum(p.size for p in params)
-        return cls(
-            learning_rate=config.learning_rate,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            epsilon=config.epsilon,
-            first_moment=np.zeros(size),
-            second_moment=np.zeros(size),
-        )
+        return cls(config, np.zeros(size), np.zeros(size))
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
@@ -379,17 +374,18 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     from each parameter through its slice. Every operation is elementwise, so
     this gives the same bytes as updating each array on its own.
     """
+    config = state.config
     state.step_count += 1
     t = state.step_count
     g = np.concatenate([grad.ravel() for grad in grads])
     m, v = state.first_moment, state.second_moment
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    update = state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    m *= config.beta1
+    m += (1.0 - config.beta1) * g
+    v *= config.beta2
+    v += (1.0 - config.beta2) * g * g
+    m_hat = m / (1.0 - config.beta1**t)
+    v_hat = v / (1.0 - config.beta2**t)
+    update = config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
     end = 0
     for p in params:
         start, end = end, end + p.size

@@ -10,6 +10,7 @@ from dfanet.automata import Dfa, accepts_batch, all_strings, make_mod_counter_df
 from dfanet.compiler import (
     EnumerationBudgetError,
     ProjectionError,
+    VerificationReport,
     build_binary_threshold_network,
     build_compressed_embedding,
     build_embedding_head,
@@ -511,6 +512,25 @@ def test_verify_exact_counts_and_finds_the_witness_without_listing(monkeypatch):
     assert report.witness == ((0,) * 11 + (1,), False, True)
     with pytest.raises(AssertionError, match="listed"):
         report.mismatches
+
+
+def test_verification_report_has_a_witness_exactly_when_it_has_mismatches():
+    with pytest.raises(ValueError, match="witness"):
+        VerificationReport(4, 1, None, tuple)
+    with pytest.raises(ValueError, match="witness"):
+        VerificationReport(4, 0, ((0, 1), True, False), tuple)
+
+
+def test_report_is_exact_when_it_counts_no_mismatch(parity):
+    acceptor = build_unrolled_acceptor(parity, 6)
+    reports = [
+        verify_exact(acceptor, parity, 6),
+        verify_exact(flipped_readout(acceptor, 1), parity, 6),
+        verify_sampled(acceptor, parity, 6, count=50, seed=1),
+        verify_sampled(flipped_readout(acceptor, 1), parity, 6, count=50, seed=1),
+    ]
+    assert [report.exact for report in reports] == [True, False, True, False]
+    assert all(report.exact == (report.mismatch_count == 0) for report in reports)
 
 
 def test_verify_exact_refuses_to_number_more_strings_than_int64_holds(parity, monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dfanet.experiments
 from dfanet.automata import make_mod_counter_dfa, make_parity_dfa
 from dfanet.encodings import decode_string
 from dfanet.experiments import (
@@ -18,6 +19,7 @@ from dfanet.experiments import (
     summarize,
     _centroid_distance,
     _class_distances,
+    _map_jobs,
 )
 
 
@@ -177,6 +179,29 @@ def test_run_theorem1_worker_processes_match_in_process_run():
     serial = run_theorem1(jobs=1, **kwargs)[0]
     pooled = run_theorem1(jobs=2, **kwargs)[0]
     assert serial.metrics["accuracy"] == pooled.metrics["accuracy"] == (0.9, 0.875)
+
+
+def test_map_jobs_starts_no_more_workers_than_seeds(monkeypatch):
+    class SerialPool:
+        """Records ``max_workers`` and maps in this process, starting none."""
+
+        started: list[int] = []
+
+        def __init__(self, max_workers):
+            self.started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, seeds):
+            return map(worker, seeds)
+
+    monkeypatch.setattr(dfanet.experiments, "ProcessPoolExecutor", SerialPool)
+    assert _map_jobs(lambda seed: seed * 10, (3, 4), jobs=10_000) == [30, 40]
+    assert SerialPool.started == [2]
 
 
 def test_run_lemma1_trivial_single_state():

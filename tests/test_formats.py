@@ -13,6 +13,7 @@ from dfanet.encodings import encode_strings
 from dfanet.formats import (
     DfaDocument,
     DocumentError,
+    _tokenize,
     export_dot,
     format_dfa_document,
     format_network_document,
@@ -108,6 +109,19 @@ def test_empty_accept_section_is_valid():
     text = PARITY_TEXT.replace("accept: even", "accept:")
     doc = parse_dfa_document(text)
     assert doc.dfa.accepting == frozenset()
+
+
+@pytest.mark.parametrize(
+    "line,tokens",
+    [
+        ("\teven 1 -> odd", [("even", 2), ("1", 7), ("->", 9), ("odd", 12)]),
+        ("q0#x", [("q0", 1)]),
+        ("start: q0  # the initial state", [("start:", 1), ("q0", 8)]),
+        ("states:\u3000a b", [("states:", 1), ("a", 9), ("b", 11)]),
+    ],
+)
+def test_tokenize_gives_tokens_and_their_columns(line, tokens):
+    assert _tokenize(line) == tokens
 
 
 def test_from_dfa_default_names():

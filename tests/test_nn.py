@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -220,6 +222,16 @@ def test_adam_moves_against_gradient():
     state = AdamState.for_parameters(params, TrainConfig(learning_rate=0.1))
     adam_step(params, [np.array([2.0])], state)
     assert params[0][0] < 1.0
+
+
+def test_train_config_is_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        TrainConfig().learning_rate = 0.1
+
+
+def test_adam_state_holds_the_config_it_was_made_from():
+    config = TrainConfig(learning_rate=0.1)
+    assert AdamState.for_parameters([np.zeros(3)], config).config is config
 
 
 def test_unrolled_net_structure():
