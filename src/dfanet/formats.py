@@ -4,6 +4,14 @@ Both formats are line-oriented, diffable, and round-trip exactly: automaton
 documents reparse to the same named automaton, and network documents carry
 weights as full-precision decimal (shortest round-trip repr), so a reloaded
 network evaluates bit-identically.
+
+Network documents are T^2-sized text for a T-step acceptor, so both sides work
+a block at a time. The writer renders each distinct value of a layer once and
+joins its rows from those strings. The reader drops blank and comment lines
+once, then reads each weights block in one ``np.loadtxt`` call. Only when that
+call refuses the block does it re-read the rows one by one with ``float()``:
+that loop names the bad line, and it accepts exactly what ``float()`` accepts,
+``1_0`` and non-ASCII digits included.
 """
 
 from __future__ import annotations
@@ -179,12 +187,28 @@ def format_dfa_document(doc: DfaDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _format_floats(values: np.ndarray) -> str:
-    return " ".join(map(repr, values.tolist()))
+def _format_rows(values: np.ndarray) -> list[str]:
+    """Each row of a float matrix as its values' reprs, space-separated.
+
+    Each distinct value, told apart by its bits so that ``-0.0`` keeps its
+    sign, is rendered once; ``searchsorted`` maps every entry to its string.
+    """
+    bits = values.view(np.int64)
+    # sorted distinct bits, as np.unique gives them; its first call imports numpy.ma (1.7 MB resident)
+    ordered = np.sort(bits, axis=None)
+    first = np.ones(ordered.shape, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[first]
+    reprs = np.array([repr(value) for value in distinct.view(np.float64).tolist()], dtype=object)
+    return list(map(" ".join, reprs[np.searchsorted(distinct, bits)].tolist()))
 
 
 def format_network_document(net: NetworkSpec) -> str:
-    """Versioned text rendering with full-precision decimal weights."""
+    """Versioned text rendering with full-precision decimal weights.
+
+    Every value is written as its shortest round-trip ``repr``. Each layer's
+    distinct values are rendered once and its rows joined from those strings.
+    """
     lines = [NETWORK_FORMAT_HEADER]
     for key in sorted(net.metadata):
         lines.append(f"meta {key} {net.metadata[key]}")
@@ -196,28 +220,39 @@ def format_network_document(net: NetworkSpec) -> str:
         lines.append(f"activation {layer.activation}")
         if layer.activation == "step":
             lines.append(f"strict {'true' if layer.strict else 'false'}")
-            lines.append("thresholds " + _format_floats(layer.thresholds))
+            lines.append("thresholds " + _format_rows(layer.thresholds[None])[0])
         lines.append(f"shape {layer.output_dim} {layer.input_dim}")
         lines.append("weights")
-        for row in range(layer.output_dim):
-            if layer.input_dim:
-                lines.append(_format_floats(layer.weights[row]))
-        lines.append("bias " + _format_floats(layer.bias))
+        if layer.input_dim:
+            lines.extend(_format_rows(layer.weights))
+        lines.append("bias " + _format_rows(layer.bias[None])[0])
     return "\n".join(lines) + "\n"
 
 
 class _LineReader:
+    """The document's lines that are neither blank nor comments, stripped.
+
+    Each keeps its 1-based line number for errors, and the raw line count
+    names the end of the document.
+    """
+
     def __init__(self, text: str):
-        self.lines = text.splitlines()
+        lines = text.splitlines()
+        self.line_count = len(lines)
+        stripped = ((line.strip(), number) for number, line in enumerate(lines, start=1))
+        self.entries = [(line, number) for line, number in stripped if line and not line.startswith("#")]
         self.pos = 0
 
     def next(self) -> tuple[str, int]:
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos].strip()
-            self.pos += 1
-            if line and not line.startswith("#"):
-                return line, self.pos
-        raise DocumentError("unexpected end of document", len(self.lines) or 1)
+        if self.pos == len(self.entries):
+            raise DocumentError("unexpected end of document", self.line_count or 1)
+        self.pos += 1
+        return self.entries[self.pos - 1]
+
+    @property
+    def line(self) -> int:
+        """The number of the last line read."""
+        return self.entries[self.pos - 1][1]
 
     def expect(self, keyword: str) -> tuple[list[str], int]:
         line, lineno = self.next()
@@ -225,6 +260,30 @@ class _LineReader:
         if parts[0] != keyword:
             raise DocumentError(f"expected {keyword!r}, found {parts[0]!r}", lineno, 1)
         return parts[1:], lineno
+
+    def read_block(self, out_dim: int, in_dim: int) -> np.ndarray | None:
+        """The next ``out_dim`` lines as one (out_dim, in_dim) matrix, or None.
+
+        One ``np.loadtxt`` call reads them. It gets only a full block: on no
+        lines at all it warns, and a short block is left to the row loop, which
+        names the line where it breaks off. Every literal ``loadtxt`` accepts
+        has the bits ``float()`` gives it; it refuses some that ``float()``
+        takes, such as ``1_0``. So on None the caller re-reads the rows one by
+        one, which accepts what it always did and names the bad line.
+        """
+        if not (out_dim and in_dim):
+            return None
+        rows = [line for line, _ in self.entries[self.pos:self.pos + out_dim]]
+        if len(rows) < out_dim:
+            return None
+        try:
+            block = np.loadtxt(rows, ndmin=2, comments=None)
+        except ValueError:
+            return None
+        if block.shape != (out_dim, in_dim):
+            return None
+        self.pos += out_dim
+        return block
 
 
 def _parse_meta_value(token: str):
@@ -239,7 +298,13 @@ def _parse_meta_value(token: str):
 
 
 def parse_network_document(text: str) -> NetworkSpec:
-    """Parse the versioned network format emitted by format_network_document."""
+    """Parse the versioned network format emitted by format_network_document.
+
+    Blank lines and lines starting with ``#`` are skipped anywhere. A value is
+    any literal ``float()`` accepts, and rows split on whitespace. A weights
+    block is read in one call; if that refuses it, the rows are read one at a
+    time, and the first bad one is named by its line.
+    """
     reader = _LineReader(text)
     header, lineno = reader.next()
     if header != NETWORK_FORMAT_HEADER:
@@ -304,18 +369,21 @@ def parse_network_document(text: str) -> NetworkSpec:
         if activation == "step":
             thresholds = parse_floats(threshold_tokens, out_dim, threshold_line)
         reader.expect("weights")
-        # rows are allocated as they are read, never from the declared shape alone
-        rows = []
-        if in_dim:
-            for _ in range(out_dim):
-                row_line, at = reader.next()
-                rows.append(parse_floats(row_line.split(), in_dim, at))
+        # rows come only from lines present, never from the declared shape alone
+        weights = reader.read_block(out_dim, in_dim)
+        if weights is None:
+            rows = []
+            if in_dim:
+                for _ in range(out_dim):
+                    row_line, at = reader.next()
+                    rows.append(parse_floats(row_line.split(), in_dim, at))
+            weights = np.array(rows).reshape(out_dim, in_dim)
         bias_tokens, at = reader.expect("bias")
         bias = parse_floats(bias_tokens, out_dim, at)
         try:
             layers.append(
                 LayerSpec(
-                    weights=np.array(rows).reshape(out_dim, in_dim),
+                    weights=weights,
                     bias=bias,
                     activation=activation,
                     thresholds=thresholds,
@@ -333,7 +401,7 @@ def parse_network_document(text: str) -> NetworkSpec:
             metadata=metadata,
         )
     except ValueError as exc:
-        raise DocumentError(f"inconsistent network document: {exc}", reader.pos) from None
+        raise DocumentError(f"inconsistent network document: {exc}", reader.line) from None
 
 
 def export_dot(doc: DfaDocument) -> str:

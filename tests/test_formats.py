@@ -11,6 +11,7 @@ from dfanet.compiler import (
 )
 from dfanet.encodings import encode_strings
 from dfanet.formats import (
+    NETWORK_FORMAT_HEADER,
     DfaDocument,
     DocumentError,
     _tokenize,
@@ -20,7 +21,7 @@ from dfanet.formats import (
     parse_dfa_document,
     parse_network_document,
 )
-from dfanet.network import forward_batch
+from dfanet.network import LayerSpec, NetworkSpec, forward_batch
 
 PARITY_TEXT = """\
 # even parity
@@ -177,6 +178,69 @@ def test_network_round_trip_full_precision():
     loaded = parse_network_document(format_network_document(net))
     assert loaded.layers[0].weights[0, 0].hex() == np.float64(value).hex()
     assert loaded.layers[0].bias[0].hex() == np.float64(1 / 3).hex()
+
+
+def reference_network_document(net):
+    """The network document written value by value, each with its own ``repr``."""
+    def floats(values):
+        return " ".join(repr(float(value)) for value in values)
+
+    lines = [NETWORK_FORMAT_HEADER]
+    lines += [f"meta {key} {net.metadata[key]}" for key in sorted(net.metadata)]
+    lines += [f"input_dim {net.input_dim}", f"output_dim {net.output_dim}", f"layer_count {len(net.layers)}"]
+    for idx, layer in enumerate(net.layers):
+        lines += [f"layer {idx}", f"activation {layer.activation}"]
+        if layer.activation == "step":
+            lines += [f"strict {'true' if layer.strict else 'false'}", "thresholds " + floats(layer.thresholds)]
+        lines += [f"shape {layer.output_dim} {layer.input_dim}", "weights"]
+        if layer.input_dim:
+            lines += [floats(row) for row in layer.weights]
+        lines.append("bias " + floats(layer.bias))
+    return "\n".join(lines) + "\n"
+
+
+# -0.0, ±inf, nan, subnormals and arbitrary doubles, with repeats so that rows share values
+DOUBLES = st.one_of(
+    st.floats(),
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308]),
+)
+
+
+@st.composite
+def float_networks(draw):
+    def values(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(DOUBLES, min_size=size, max_size=size)), dtype=float).reshape(shape)
+
+    dims = draw(st.lists(st.integers(0, 4), min_size=2, max_size=4))
+    layers = []
+    for in_dim, out_dim in zip(dims, dims[1:]):
+        activation = draw(st.sampled_from(["relu", "sigmoid", "identity", "step"]))
+        step = activation == "step"
+        layers.append(LayerSpec(weights=values(out_dim, in_dim), bias=values(out_dim), activation=activation,
+                                thresholds=values(out_dim) if step else None, strict=step and draw(st.booleans())))
+    metadata = draw(st.dictionaries(st.sampled_from(["construction", "length"]), st.integers(0, 99)))
+    return NetworkSpec(layers=tuple(layers), input_dim=dims[0], output_dim=dims[-1], metadata=metadata)
+
+
+def same_bits(a, b):
+    """Equal shapes and bytes, with every nan taken as the same nan."""
+    nan = np.isnan(a)
+    return a.shape == b.shape and np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_networks())
+def test_network_writer_matches_per_value_repr(net):
+    text = format_network_document(net)
+    assert text == reference_network_document(net)
+    loaded = parse_network_document(text)
+    assert loaded.metadata == net.metadata
+    for a, b in zip(loaded.layers, net.layers, strict=True):
+        assert (a.activation, a.strict) == (b.activation, b.strict)
+        assert same_bits(a.weights, b.weights) and same_bits(a.bias, b.bias)
+        assert (a.thresholds is None and b.thresholds is None) or same_bits(a.thresholds, b.thresholds)
 
 
 def test_network_parse_rejects_bad_header():
