@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -207,6 +208,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built by the first main call, then reused; parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dfanet",
@@ -232,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--sampled", type=int, default=None, help="sample count instead of exhaustion")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET,
-                          help="maximum strings for exhaustive enumeration")
+                          help="maximum strings to enumerate when the layer walk cannot decide "
+                          "the network; a walked network is judged at any length")
     p_verify.set_defaults(func=cmd_verify)
 
     p_exp = sub.add_parser("experiment", help="run one experiment protocol")
@@ -252,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ProjectionError as exc:

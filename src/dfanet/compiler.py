@@ -15,8 +15,11 @@ layers unchanged. So ``verify_exact`` walks the plan and the automaton together
 over the distinct (carrier, state) pairs, the product construction of Hopcroft
 and Karp: it merges byte-equal pairs and extends each by every symbol block the
 next layer reads, moving the carrier through the layers and the state through
-the symbols. Where it cannot walk, it runs every string through
-``forward_batch``.
+the symbols. An unrolled acceptor repeats one module, so once its reachable
+pairs stop growing each stage repeats the one before; the walk runs each
+distinct stage once and reuses its table, so its cost does not grow with T.
+Where it cannot walk, it runs every string through ``forward_batch``, and only
+that enumeration, or listing the mismatches, is limited by a budget.
 
 A network that is not exact is judged from the same tables: pushing string
 counts from the start pair to the final pairs counts the mismatching strings,
@@ -38,7 +41,7 @@ import numpy as np
 from .automata import Dfa, _distinct_rows, accepts_batch, all_strings
 from .encodings import binary_state_encoding, bits_for_state_count, encode_strings, one_hot_state_encoding
 from .encodings import transition_table
-from .network import LayerSpec, NetworkSpec, _layer_step, forward_batch
+from .network import LayerSpec, NetworkSpec, _layer_step, _Step, forward_batch
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 24
 _CHUNK = 1 << 16  # strings per enumeration chunk, and the most rows one walk stage may hold
@@ -330,6 +333,34 @@ def _distinct(carriers: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.
     return carriers[first], states[first], index
 
 
+def _stage_key(layers: tuple[LayerSpec, ...], steps: tuple[_Step, ...], seen: list[str]) -> tuple:
+    """Everything a walk stage's layers compute from besides its pairs, as comparable values.
+
+    That is each layer's activation, comparison mode, fresh columns and active
+    block, taken as bytes so that ``-0.0`` and nan compare as they compute, and
+    the two facts ``network._passed_through`` reads from ``seen``.
+    """
+    def raw(values):
+        return values if values is None or isinstance(values, float) else (values.shape, values.tobytes())
+
+    return (bool(seen), "relu" in seen) + tuple(
+        (layer.activation, layer.strict, step.fresh, raw(step.weights), raw(step.bias), raw(step.thresholds))
+        for layer, step in zip(layers, steps)
+    )
+
+
+def _walk_layers(
+    layers: tuple[LayerSpec, ...], steps: tuple[_Step, ...], carriers: np.ndarray, fresh: np.ndarray, seen: list[str]
+) -> np.ndarray | None:
+    """``layers`` on ``carriers``, the first joined by ``fresh``; None if one would read a value that is not finite."""
+    for layer, step in zip(layers, steps):
+        if not np.isfinite(carriers).all():
+            return None
+        carriers = _layer_step(layer, step, carriers, fresh, seen)
+        seen.append(layer.activation)
+    return carriers
+
+
 def _walk(net: NetworkSpec, dfa: Dfa, limit: int) -> _Walk | None:
     """Walk ``net._plan`` and ``dfa`` together over the distinct pairs; None where it cannot.
 
@@ -338,38 +369,52 @@ def _walk(net: NetworkSpec, dfa: Dfa, limit: int) -> _Walk | None:
     finite (the rule of ``dfanet.network``, judged as ``forward_batch`` judges
     it), or when one stage would hold more than ``limit`` pair-symbol rows.
     The last layer's inf or nan is a verdict.
+
+    Each distinct stage runs once. A stage whose layers compute what the
+    previous stage's did (``_stage_key``), from pairs that the previous stage
+    left byte for byte as it found them, would compute the same table again, so
+    it reuses that table. An unrolled acceptor's modules repeat once its
+    reachable states stop growing, so the walk costs one pass per distinct
+    stage rather than one per position.
     """
     k = dfa.alphabet_size
     plan = net._plan
     reads = [step.fresh for step in plan]
     if any(r % k for r in reads) or sum(reads) < net.input_dim:
         return None
+    starts = [i for i, r in enumerate(reads) if r]
     carriers, states = np.zeros((1, 0)), np.array([dfa.start_state])
     tables, blocks, seen = [], [], []
+    repeat = None  # the last stage run: its key and table, if its pairs came out as they went in
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is judged, not warned about
-        for layer, step in zip(net.layers, plan):
-            if not np.isfinite(carriers).all():
+        head = starts[0] if starts else len(plan)
+        carriers = _walk_layers(net.layers[:head], plan[:head], carriers, carriers, seen)
+        if carriers is None:
+            return None
+        for lo, hi in zip(starts, starts[1:] + [len(plan)]):
+            layers, steps = net.layers[lo:hi], plan[lo:hi]
+            key, b = _stage_key(layers, steps, seen), steps[0].fresh // k
+            blocks.append(b)
+            if repeat is not None and repeat[0] == key:
+                tables.append(repeat[1])
+                seen.extend(layer.activation for layer in layers)
+                continue
+            if len(carriers) * k**b > limit:
                 return None
-            fresh = carriers[:, :0]
-            if step.fresh:
-                if blocks:
-                    carriers, states, index = _distinct(carriers, states)
-                    tables.append(index.reshape(-1, k ** blocks[-1]))
-                b = step.fresh // k
-                blocks.append(b)
-                if len(carriers) * k**b > limit:
-                    return None
-                symbols = np.tile(all_strings(k, b), (len(carriers), 1))
-                fresh = np.eye(k)[symbols].reshape(len(symbols), step.fresh)
-                carriers = np.repeat(carriers, k**b, axis=0)
-                states = np.repeat(states, k**b)
-                for column in symbols.T:
-                    states = dfa.transitions[states, column]
-            carriers = _layer_step(layer, step, carriers, fresh, seen)
-            seen.append(layer.activation)
-    carriers, states, index = _distinct(carriers, states)
-    if blocks:
-        tables.append(index.reshape(-1, k ** blocks[-1]))
+            symbols = np.tile(all_strings(k, b), (len(carriers), 1))
+            fresh = np.eye(k)[symbols].reshape(len(symbols), steps[0].fresh)
+            before = carriers, states
+            states = np.repeat(states, k**b)
+            for column in symbols.T:
+                states = dfa.transitions[states, column]
+            carriers = _walk_layers(layers, steps, np.repeat(carriers, k**b, axis=0), fresh, seen)
+            if carriers is None:
+                return None
+            carriers, states, index = _distinct(carriers, states)
+            tables.append(index.reshape(-1, k**b))
+            unchanged = (carriers.shape == before[0].shape and carriers.tobytes() == before[0].tobytes()
+                         and np.array_equal(states, before[1]))
+            repeat = (key, tables[-1]) if unchanged else None
     return _Walk(tables, blocks, carriers[:, 0] > 0.5, dfa.accepting_mask[states])
 
 
@@ -410,13 +455,20 @@ def _tally(walk: _Walk, k: int) -> tuple[int, Mismatch]:
     return int(counts[bad].sum()), (tuple(string), bool(walk.accepted[pair]), bool(walk.verdicts[pair]))
 
 
-def _list_mismatches(net: NetworkSpec, dfa: Dfa, length: int, walk: _Walk | None) -> tuple[Mismatch, ...]:
-    """Every mismatch, in lexicographic order, chunk by chunk.
+def _list_mismatches(
+    net: NetworkSpec, dfa: Dfa, length: int, walk: _Walk | None, budget: int
+) -> tuple[Mismatch, ...]:
+    """Every mismatch, in lexicographic order, chunk by chunk; refuses more than ``budget`` strings.
 
     Each string's verdicts are read from its final pair in the walk's tables,
     or, with no walk, from ``forward_batch``.
     """
     k, total = dfa.alphabet_size, dfa.alphabet_size**length
+    if total > budget:
+        raise EnumerationBudgetError(
+            f"{k}^{length} = {total} strings exceeds the enumeration budget {budget}; "
+            "use sampled verification"
+        )
     powers = k ** np.arange(length - 1, -1, -1, dtype=np.int64)
     mismatches: list[Mismatch] = []
     for start in range(0, total, _CHUNK):
@@ -439,14 +491,14 @@ def verify_exact(
 
     The verdict on a string is output column 0 > 0.5. ``verify_exact`` walks
     the network's plan and the automaton together over their distinct
-    (carrier, state) pairs (see the module docstring); when no final pair's
-    verdicts differ, the network is exact and no string is enumerated.
-    Otherwise the walk's tables give the mismatch count, by pushing string
-    counts from the start pair to the final pairs, and the first witness, by
-    descending from the start pair towards a bad final pair. No string is
-    listed until ``mismatches`` is read; that lists every mismatch, in
-    lexicographic order, by reading each string's final pair from the tables,
-    chunk by chunk.
+    (carrier, state) pairs (see the module docstring), running each distinct
+    stage once; when no final pair's verdicts differ, the network is exact and
+    no string is enumerated. Otherwise the walk's tables give the mismatch
+    count, by pushing string counts from the start pair to the final pairs,
+    and the first witness, by descending from the start pair towards a bad
+    final pair. No string is listed until ``mismatches`` is read; that lists
+    every mismatch, in lexicographic order, by reading each string's final
+    pair from the tables, chunk by chunk.
 
     The walk is sound because it runs the same layer arithmetic as
     ``forward_batch`` on the same values, under the same finiteness rule (see
@@ -460,18 +512,18 @@ def verify_exact(
     chunks, so memory stays bounded) and listing every mismatch when a layer
     reads part of a symbol block, the output passes input columns through, a
     layer would read a carrier that is not finite, or one stage's pairs times
-    its symbol blocks exceed one chunk. Refuses lengths whose k^T exceeds
-    ``budget``, and counts at most 2^63 - 1 strings whatever the budget (it
-    numbers them in int64); use sampled verification beyond either.
+    its symbol blocks exceed one chunk.
+
+    ``budget`` limits only enumeration: the fallback refuses, and reading
+    ``mismatches`` raises, when k^T exceeds it, while a network the walk
+    decides is judged, counted and given a witness at any length. Whatever the
+    budget, a network that is not exact is judged only while k^T fits in int64
+    (2^63 - 1 strings), which numbers them; use sampled verification beyond
+    either limit.
     """
     _check_dims(net, dfa, length)
     k = dfa.alphabet_size
     total = k**length
-    if total > budget:
-        raise EnumerationBudgetError(
-            f"{k}^{length} = {total} strings exceeds the enumeration budget {budget}; "
-            "use sampled verification"
-        )
     walk = _walk(net, dfa, _CHUNK)
     if walk is not None and np.array_equal(walk.verdicts, walk.accepted):
         return VerificationReport(total, 0, None, tuple)
@@ -479,11 +531,12 @@ def verify_exact(
         raise EnumerationBudgetError(
             f"{k}^{length} = {total} strings cannot be numbered in 64 bits; use sampled verification"
         )
+    listing = partial(_list_mismatches, net, dfa, length, walk, budget)
     if walk is None:
-        listed = _list_mismatches(net, dfa, length, None)
+        listed = listing()
         return VerificationReport(total, len(listed), listed[0] if listed else None, partial(tuple, listed))
     count, witness = _tally(walk, k)
-    return VerificationReport(total, count, witness, partial(_list_mismatches, net, dfa, length, walk))
+    return VerificationReport(total, count, witness, listing)
 
 
 def verify_sampled(

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfanet.cli import main
-from dfanet.formats import DocumentError, parse_dfa_document, parse_network_document
+from dfanet.cli import build_parser, main
+from dfanet.formats import DocumentError, format_network_document, parse_dfa_document, parse_network_document
 
+from test_compiler import flipped_readout, half_block_net
 from test_formats import BAD_LAYERS, ONE_LAYER_TEXT, VALID_NETWORKS, dfa_documents, network_documents
 
 PARITY_TEXT = """\
@@ -168,16 +169,57 @@ def test_verify_network_with_inf_weight_gives_a_verdict_without_warnings(tmp_pat
     assert code == 0
 
 
+def write_network(path, net):
+    path.write_text(format_network_document(net))
+    return str(path)
+
+
 def test_verify_budget_refusal_exits_two(tmp_path, parity_file, capsys):
-    net_path = tmp_path / "big.net"
-    main(["compile", str(parity_file), "--target", "unrolled", "--length", "30",
-          "--out", str(net_path)])
-    capsys.readouterr()
-    assert main(["verify", str(net_path), str(parity_file), "--length", "30"]) == 2
+    # the walk cannot decide a net that reads half a symbol block, so it would enumerate 2^30 strings
+    net_path = write_network(tmp_path / "big.net", half_block_net(parse_dfa_document(PARITY_TEXT).dfa, 30))
+    assert main(["verify", net_path, str(parity_file), "--length", "30"]) == 2
     assert "budget" in capsys.readouterr().err
 
-    assert main(["verify", str(net_path), str(parity_file), "--length", "30",
-                 "--sampled", "200"]) == 0
+
+def test_verify_walks_past_the_enumeration_budget(tmp_path, parity_file, capsys):
+    net_path = tmp_path / "big.net"
+    main(["compile", str(parity_file), "--target", "unrolled", "--length", "30", "--out", str(net_path)])
+    capsys.readouterr()
+    assert main(["verify", str(net_path), str(parity_file), "--length", "30"]) == 0
+    assert capsys.readouterr().out == "1073741824/1073741824 exhaustive checks match\nexact\n"
+
+    flipped = write_network(tmp_path / "flipped.net", flipped_readout(parse_network_document(net_path.read_text()), 1))
+    assert main(["verify", flipped, str(parity_file), "--length", "30"]) == 1
+    assert capsys.readouterr().out == (
+        "536870912/1073741824 exhaustive checks match\n"
+        f"first witness: {'0' * 29 + '1'!r} automaton=False network=True\n"
+    )
+    assert main(["verify", str(net_path), str(parity_file), "--length", "30", "--sampled", "200"]) == 0
+
+
+def test_the_parser_is_built_once_and_keeps_no_options_between_calls(tmp_path, parity_file, capsys):
+    assert build_parser() is build_parser()
+    net_path = tmp_path / "parity3.net"
+    assert main(["compile", str(parity_file), "--target", "unrolled", "--length", "3", "--out", str(net_path)]) == 0
+    assert main(["verify", str(net_path), str(parity_file), "--length", "3", "--sampled", "50"]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(net_path), str(parity_file), "--length", "3"]) == 0
+    assert capsys.readouterr().out == "8/8 exhaustive checks match\nexact\n"
+
+    # with no --out, compile writes beside the automaton, and export-dot to stdout
+    assert main(["compile", str(parity_file), "--target", "unrolled", "--length", "3"]) == 0
+    assert (tmp_path / "parity.unrolled.net").read_bytes() == net_path.read_bytes()
+    assert main(["export-dot", str(parity_file), "--out", str(tmp_path / "parity.dot")]) == 0
+    capsys.readouterr()
+    assert main(["export-dot", str(parity_file)]) == 0
+    assert capsys.readouterr().out == (tmp_path / "parity.dot").read_text()
+
+    with pytest.raises(SystemExit) as usage:
+        main(["verify", str(net_path), str(parity_file), "--length", "three", "--sampled", "5"])
+    assert usage.value.code == 2
+    capsys.readouterr()
+    assert main(["verify", str(net_path), str(parity_file), "--length", "3"]) == 0
+    assert capsys.readouterr().out == "8/8 exhaustive checks match\nexact\n"
 
 
 def test_compressed_target_requires_length(tmp_path, parity_file, capsys):

@@ -21,7 +21,7 @@ from dfanet.compiler import (
 )
 from dfanet.encodings import binary_state_encoding, encode_string, encode_strings, one_hot
 from dfanet.experiments import gen_binary_transition_dataset, gen_transition_dataset
-from dfanet.network import LayerSpec, NetworkSpec, forward, forward_batch
+from dfanet.network import LayerSpec, NetworkSpec, _layer_step, forward, forward_batch
 
 from conftest import dfas, plain_accepts, plain_fold, scaled_acceptor
 
@@ -134,9 +134,20 @@ def test_verify_exact_finds_corruption_witness(parity):
 
 
 def test_verify_exact_budget_refusal(parity):
-    net = build_unrolled_acceptor(parity, 30)
+    net = half_block_net(parity, 30)  # the walk cannot decide it, so only enumeration could
     with pytest.raises(EnumerationBudgetError):
         verify_exact(net, parity, 30)
+
+
+def test_verify_exact_walks_past_the_enumeration_budget(parity):
+    acceptor = build_unrolled_acceptor(parity, 30)
+    report = verify_exact(acceptor, parity, 30)
+    assert report.exact and report.total_strings == 2**30 and report.mismatches == ()
+    report = verify_exact(flipped_readout(acceptor, 1), parity, 30)  # every odd string is accepted
+    assert report.mismatch_count == 2**29
+    assert report.witness == ((0,) * 29 + (1,), False, True)
+    with pytest.raises(EnumerationBudgetError, match="budget"):  # listing them would enumerate 2^30 strings
+        report.mismatches
 
 
 def test_verify_exact_dimension_mismatch(parity):
@@ -531,6 +542,91 @@ def test_report_is_exact_when_it_counts_no_mismatch(parity):
     ]
     assert [report.exact for report in reports] == [True, False, True, False]
     assert all(report.exact == (report.mismatch_count == 0) for report in reports)
+
+
+def counting_layer_steps(monkeypatch):
+    calls = []
+
+    def counted(layer, step, *args):
+        calls.append(layer)
+        return _layer_step(layer, step, *args)
+
+    monkeypatch.setattr(dfanet.compiler, "_layer_step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dfa", [make_parity_dfa(), make_mod_counter_dfa(5)], ids=["parity", "mod-5"])
+def test_the_walk_runs_as_many_layer_steps_at_any_length(dfa, monkeypatch):
+    calls = counting_layer_steps(monkeypatch)
+    steps = []
+    for length in (15, 60):
+        calls.clear()
+        acceptor = build_unrolled_acceptor(dfa, length)
+        assert verify_exact(acceptor, dfa, length).exact
+        assert verify_exact(flipped_readout(acceptor, 1), dfa, length).mismatch_count > 0
+        steps.append(len(calls))
+    assert steps[0] == steps[1] < 2 * (2 * 15 + 1)
+
+
+def assert_report_matches_enumeration(net, dfa, length):
+    """Count, witness and every mismatch from ``verify_exact`` equal enumeration's, for ``net`` and its flips."""
+    for flipped in (net, flipped_readout(net, 0), flipped_readout(net, 1)):
+        report = verify_exact(flipped, dfa, length)
+        total, mismatches, exact = enumerated_report(flipped, dfa, length)
+        assert (report.total_strings, report.mismatch_count, report.exact) == (total, len(mismatches), exact)
+        assert repr(report.witness) == repr(mismatches[0] if mismatches else None)
+        assert report.mismatches == mismatches
+
+
+def walk_steps(net, dfa, length, monkeypatch):
+    """The number of layer steps one ``verify_exact`` of ``net`` runs."""
+    calls = counting_layer_steps(monkeypatch)
+    verify_exact(net, dfa, length)
+    return len(calls)
+
+
+def changed_middle_module(dfa, length, module, layer, row, column, value):
+    """The acceptor with one entry of module ``module``'s ``layer`` (0 pair, 1 next-state) set to ``value``.
+
+    ``column`` is None for a bias entry.
+    """
+    acceptor = build_unrolled_acceptor(dfa, length)
+    index = 2 * module + layer
+    target = acceptor.layers[index]
+    if column is None:
+        bias = target.bias.copy()
+        bias[row] = value
+        return with_layer(acceptor, index, bias=bias)
+    weights = target.weights.copy()
+    weights[row, column] = value
+    return with_layer(acceptor, index, weights=weights)
+
+
+@pytest.mark.parametrize("dfa, change", [
+    (make_parity_dfa(), (4, 0, 0, 0, 2.0)),  # one pair unit's weight on the state it reads
+    (make_mod_counter_dfa(3), (5, 1, 0, None, -0.0)),  # the next-state bias: the key differs only in a sign
+], ids=["pair-unit-weight", "negative-zero-bias"])
+def test_the_walk_runs_a_middle_stage_whose_key_differs(dfa, change, monkeypatch):
+    net = changed_middle_module(dfa, 9, *change)
+    acceptor_steps = walk_steps(build_unrolled_acceptor(dfa, 9), dfa, 9, monkeypatch)
+    assert acceptor_steps < walk_steps(net, dfa, 9, monkeypatch) < 2 * 9 + 1  # stages repeat around it
+    assert_report_matches_enumeration(net, dfa, 9)
+
+
+def test_the_walk_runs_every_stage_while_the_pairs_grow(monkeypatch):
+    dfa = make_mod_counter_dfa(12)  # n > T: each stage's key repeats, but it reaches one state more
+    acceptor = build_unrolled_acceptor(dfa, 9)
+    assert walk_steps(acceptor, dfa, 9, monkeypatch) == 2 * 9 + 1
+    assert_report_matches_enumeration(acceptor, dfa, 9)
+
+
+def test_the_walk_judges_an_inf_weight_reached_after_repeated_stages(monkeypatch):
+    parity = make_parity_dfa()
+    net = changed_middle_module(parity, 9, 6, 1, 0, 0, np.inf)
+    assert walk_steps(net, parity, 9, monkeypatch) < 2 * 6  # stages 2-5 repeat stage 1
+    calls = counting_forward_batch(monkeypatch)
+    assert_report_matches_enumeration(net, parity, 9)
+    assert calls  # module 7 would read 0 * inf = nan, so the walk gives way to enumeration
 
 
 def test_verify_exact_refuses_to_number_more_strings_than_int64_holds(parity, monkeypatch):
