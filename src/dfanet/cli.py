@@ -234,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--sampled", type=int, default=None, help="sample count instead of exhaustion")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET,
-                          help="maximum strings to enumerate when the layer walk cannot decide "
-                          "the network; a walked network is judged at any length")
+                          help="maximum strings to enumerate; a network that the layer walk "
+                          "decides is not enumerated, so this does not limit it")
     p_verify.set_defaults(func=cmd_verify)
 
     p_exp = sub.add_parser("experiment", help="run one experiment protocol")

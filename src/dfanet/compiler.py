@@ -388,7 +388,7 @@ def _walk(net: NetworkSpec, dfa: Dfa, limit: int) -> _Walk | None:
     repeat = None  # the last stage run: its key and table, if its pairs came out as they went in
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is judged, not warned about
         head = starts[0] if starts else len(plan)
-        carriers = _walk_layers(net.layers[:head], plan[:head], carriers, carriers, seen)
+        carriers = _walk_layers(net.layers[:head], plan[:head], carriers, carriers[:, :0], seen)
         if carriers is None:
             return None
         for lo, hi in zip(starts, starts[1:] + [len(plan)]):
