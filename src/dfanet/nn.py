@@ -3,17 +3,19 @@
 Two trainable model families cover every experiment in the suite: a plain
 :class:`TrainableMlp` and the :class:`UnrolledNet`, which stacks one unshared
 two-layer ReLU block per sequence position (consuming the carried state and
-that position's one-hot symbol block) under a configurable head stack. The
-MLP, each position block and the head are all dense stacks, run by one forward
-pass (``_stack_forward``) and one backward pass (``_stack_backward``).
-``train`` minimises the mean loss over the dataset's rows. It takes that same
-mean over the distinct ``(input, target)`` rows, each weighted by its count,
-and steps Adam over one flat vector of all parameters.
+that position's one-hot symbol block) under a configurable head stack.
+Each model keeps its parameters in one flat vector, ``flat``, whose views are
+the public arrays in order; the unrolled blocks are stacked over positions,
+so one ``np.matmul`` gives every position's weight gradient. ``train``
+minimises the mean loss over the distinct ``(input, target)`` rows, each
+weighted by its count, on one workspace of buffers reused by every epoch,
+and steps Adam on ``flat`` in place.
 Everything is double precision and deterministic per seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,19 +25,22 @@ from .automata import _distinct_rows
 from .network import apply_activation
 
 LOSSES = ("bce", "mse", "softmax_ce")
+TRAINABLE = ("relu", "sigmoid", "identity")
 
 
-# each trainable activation's derivative, from its pre-activation z and its output a
-_GRADIENTS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "relu": lambda z, a: (z > 0).astype(float),
-    "sigmoid": lambda z, a: a * (1.0 - a),
-    "identity": lambda z, a: np.ones_like(z),
-}
+def _times_derivative(activation: str, dz: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``dz`` times the derivative at output ``a``, in place: relu's is the mask
+    ``a > 0`` (which is ``z > 0``); identity's is one, an exact factor, so it is skipped."""
+    if activation == "relu":
+        dz *= a > 0
+    elif activation == "sigmoid":
+        dz *= a * (1.0 - a)
+    return dz
 
 
 def _check_trainable(activations: Sequence[str]) -> None:
     for act in activations:
-        if act not in _GRADIENTS:
+        if act not in TRAINABLE:
             raise ValueError(f"unknown trainable activation {act!r}")
 
 
@@ -71,7 +76,7 @@ def _loss_and_output_grad(
         return value, (np.exp(log_probs) - targets) * counts / total
     if loss == "mse":
         diff = a_last - targets
-        grad = diff * counts / total * _GRADIENTS[last_activation](z_last, a_last)
+        grad = _times_derivative(last_activation, diff * counts / total, a_last)
         return float(0.5 * (diff * diff * counts).sum() / total), grad
     raise ValueError(f"unknown loss {loss!r}; choose from {LOSSES}")
 
@@ -92,23 +97,19 @@ def _stack_forward(
     return pre, post
 
 
-def _stack_backward(
-    params: Sequence[np.ndarray], activations: Sequence[str], pre: list, post: list, dz: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Backprop ``dz``, the gradient at the last pre-activation, through the stack.
-
-    Returns the parameter gradients (shaped like ``params``) and the gradient
-    at the first layer's pre-activation; a caller that needs the input
-    gradient multiplies that by the first weight matrix itself.
-    """
-    grads: list[np.ndarray] = [np.empty(0)] * len(params)
+def _stack_gradients(
+    params: Sequence[np.ndarray], activations: Sequence[str], x, targets, counts, loss: str, grads: list
+) -> tuple[float, np.ndarray]:
+    """Loss of a dense stack on ``x`` and the gradient at its first pre-activation; the
+    parameter gradients are written into ``grads``, which is shaped like ``params``."""
+    pre, post = _stack_forward(params, activations, x)
+    value, dz = _loss_and_output_grad(loss, pre[-1], post[-1], targets, activations[-1], counts)
     for layer in range(len(activations) - 1, -1, -1):
-        grads[2 * layer] = dz.T @ post[layer]
-        grads[2 * layer + 1] = dz.sum(axis=0)
+        np.matmul(dz.T, post[layer], out=grads[2 * layer])
+        np.sum(dz, axis=0, out=grads[2 * layer + 1])
         if layer:
-            upstream = dz @ params[2 * layer]
-            dz = upstream * _GRADIENTS[activations[layer - 1]](pre[layer - 1], post[layer])
-    return grads, dz
+            dz = _times_derivative(activations[layer - 1], dz @ params[2 * layer], post[layer])
+    return value, dz
 
 
 def _as_batch(
@@ -144,46 +145,31 @@ def _batch_of(inputs, input_dim: int) -> np.ndarray:
     return inputs
 
 
-def _init_affine(rng: np.random.Generator, out_dim: int, in_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    # scaled-uniform init: weights ~ U(-sqrt(1/fan_in), +sqrt(1/fan_in)), zero bias
+def _init_weights(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
+    # scaled-uniform init: weights ~ U(-sqrt(1/fan_in), +sqrt(1/fan_in)); biases start at zero
     limit = np.sqrt(1.0 / max(in_dim, 1))
-    return rng.uniform(-limit, limit, size=(out_dim, in_dim)), np.zeros(out_dim)
+    return rng.uniform(-limit, limit, size=(out_dim, in_dim))
 
 
-class TrainableMlp:
-    """Dense MLP with per-layer activations, trained by full-batch Adam."""
+def _carve(rows: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """Views of consecutive column runs of ``rows``, one ``(len(rows), *shape)`` array per shape."""
+    views, end = [], 0
+    for shape in shapes:
+        start, end = end, end + math.prod(shape)
+        views.append(rows[:, start:end].reshape(len(rows), *shape))
+    return views
 
-    def __init__(self, dims: Sequence[int], activations: Sequence[str], seed) -> None:
-        dims = [int(d) for d in dims]
-        if len(dims) < 2:
-            raise ValueError("an MLP needs at least an input and an output dimension")
-        if len(activations) != len(dims) - 1:
-            raise ValueError("need one activation per layer")
-        _check_trainable(activations)
-        self.dims = dims
-        self.activations = list(activations)
-        rng = np.random.default_rng(seed)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for in_dim, out_dim in zip(dims, dims[1:]):
-            w, b = _init_affine(rng, out_dim, in_dim)
-            self.weights.append(w)
-            self.biases.append(b)
 
-    @property
-    def input_dim(self) -> int:
-        return self.dims[0]
+def _affine_shapes(dims: Sequence[int]) -> list[tuple[int, ...]]:
+    return [shape for fan_in, out in zip(dims, dims[1:]) for shape in ((out, fan_in), (out,))]
 
-    @property
-    def output_dim(self) -> int:
-        return self.dims[-1]
+
+class _FlatModel:
+    """Parameters in one flat vector ``flat``; the public loss runs the kernel on a one-shot workspace."""
 
     @property
     def parameters(self) -> list[np.ndarray]:
-        return [p for layer in zip(self.weights, self.biases) for p in layer]
-
-    def forward_batch(self, inputs: np.ndarray) -> np.ndarray:
-        return _stack_forward(self.parameters, self.activations, _batch_of(inputs, self.input_dim))[1][-1]
+        return list(self._params)
 
     def loss_and_gradients(
         self, inputs: np.ndarray, targets: np.ndarray, loss: str, counts: np.ndarray | None = None
@@ -196,13 +182,54 @@ class TrainableMlp:
         counts once.
         """
         inputs, targets, counts = _as_batch(inputs, targets, counts, self.input_dim, self.output_dim)
-        params = self.parameters
-        pre, post = _stack_forward(params, self.activations, inputs)
-        value, dz = _loss_and_output_grad(loss, pre[-1], post[-1], targets, self.activations[-1], counts)
-        return value, _stack_backward(params, self.activations, pre, post, dz)[0]
+        value, grad = self._loss_and_flat_gradient(self._workspace(inputs), targets, counts, loss)
+        return value, self._public(grad)
 
 
-class UnrolledNet:
+class TrainableMlp(_FlatModel):
+    """Dense MLP with per-layer activations, trained by full-batch Adam."""
+
+    def __init__(self, dims: Sequence[int], activations: Sequence[str], seed) -> None:
+        dims = [int(d) for d in dims]
+        if len(dims) < 2:
+            raise ValueError("an MLP needs at least an input and an output dimension")
+        if len(activations) != len(dims) - 1:
+            raise ValueError("need one activation per layer")
+        _check_trainable(activations)
+        self.dims = dims
+        self.activations = list(activations)
+        self._shapes = _affine_shapes(dims)
+        self.flat = np.zeros(sum(math.prod(shape) for shape in self._shapes))
+        self._params = self._public(self.flat)
+        self.weights, self.biases = self._params[::2], self._params[1::2]
+        rng = np.random.default_rng(seed)
+        for w in self.weights:
+            w[...] = _init_weights(rng, *w.shape)
+
+    @property
+    def input_dim(self) -> int:
+        return self.dims[0]
+
+    @property
+    def output_dim(self) -> int:
+        return self.dims[-1]
+
+    def _public(self, vector: np.ndarray) -> list[np.ndarray]:
+        return [view[0] for view in _carve(vector[None], self._shapes)]
+
+    def forward_batch(self, inputs: np.ndarray) -> np.ndarray:
+        return _stack_forward(self._params, self.activations, _batch_of(inputs, self.input_dim))[1][-1]
+
+    def _workspace(self, inputs: np.ndarray) -> tuple:
+        grad = np.empty_like(self.flat)
+        return inputs, grad, self._public(grad)
+
+    def _loss_and_flat_gradient(self, work, targets, counts, loss: str) -> tuple[float, np.ndarray]:
+        inputs, grad, grads = work
+        return _stack_gradients(self._params, self.activations, inputs, targets, counts, loss, grads)[0], grad
+
+
+class UnrolledNet(_FlatModel):
     """Trainable sequence acceptor/embedder unrolled over positions.
 
     Position t gets its own two-layer ReLU block (no weight sharing) mapping
@@ -211,6 +238,9 @@ class UnrolledNet:
     position a stack of dense head layers produces the output (a sigmoid
     acceptance probability, an embedding, classifier logits, or any
     combination, depending on ``head_dims``/``head_activations``).
+
+    The blocks are stacked over positions as views of ``flat``: ``w1`` (T, h, n+k),
+    ``b1`` (T, h), ``w2`` (T, n, h) and ``b2`` (T, n); ``flat`` holds them position by position.
     """
 
     def __init__(
@@ -242,26 +272,26 @@ class UnrolledNet:
         self.head_activations = list(head_activations)
         self.initial_state = np.zeros(state_dim)
         self.initial_state[start_state] = 1.0
+        n, h = state_dim, hidden_width
+        self._block_shapes = [(h, n + alphabet_size), (h,), (n, h), (n,)]
+        self._head_shapes = _affine_shapes([n, *head_dims])
+        self._block_size = sum(math.prod(shape) for shape in self._block_shapes)
+        self.flat = np.zeros(length * self._block_size + sum(math.prod(s) for s in self._head_shapes))
+        self._params = self._public(self.flat)
+        (self.w1, self.b1, self.w2, self.b2), self._head = self._split(self.flat)
+        self.step_weights = list(zip(self.w1, self.b1, self.w2, self.b2))
+        self.head_weights = list(zip(self._head[::2], self._head[1::2]))
 
         # Init scheme tuned for deep unshared stacks: gain-preserving uniform
         # (+-sqrt(6/fan_in)) on the step blocks so the carried signal survives
         # the depth, and a zero-initialized final head layer so the output
         # starts at the loss's neutral point instead of saturating early.
         rng = np.random.default_rng(seed)
-        gain = np.sqrt(6.0)
-        self.step_weights: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        for _ in range(length):
-            w1, b1 = _init_affine(rng, hidden_width, state_dim + alphabet_size)
-            w2, b2 = _init_affine(rng, state_dim, hidden_width)
-            self.step_weights.append((w1 * gain, b1, w2 * gain, b2))
-        self.head_weights: list[tuple[np.ndarray, np.ndarray]] = []
-        in_dim = state_dim
-        for pos, out_dim in enumerate(head_dims):
-            w, b = _init_affine(rng, out_dim, in_dim)
-            if pos == len(head_dims) - 1:
-                w = np.zeros_like(w)
-            self.head_weights.append((w, b))
-            in_dim = out_dim
+        for w1, _, w2, _ in self.step_weights:
+            w1[...] = _init_weights(rng, *w1.shape) * np.sqrt(6.0)
+            w2[...] = _init_weights(rng, *w2.shape) * np.sqrt(6.0)
+        for w, _ in self.head_weights[:-1]:  # nothing is drawn after the last, zero, layer
+            w[...] = _init_weights(rng, *w.shape)
 
     @property
     def input_dim(self) -> int:
@@ -271,61 +301,80 @@ class UnrolledNet:
     def output_dim(self) -> int:
         return self.head_weights[-1][0].shape[0]
 
-    @property
-    def parameters(self) -> list[np.ndarray]:
-        return [p for layer in [*self.step_weights, *self.head_weights] for p in layer]
+    def _split(self, vector: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The stacked block views and the head views of a parameter-sized vector."""
+        end = self.length * self._block_size
+        stacks = _carve(vector[:end].reshape(self.length, self._block_size), self._block_shapes)
+        return stacks, [view[0] for view in _carve(vector[None, end:], self._head_shapes)]
 
-    def _blocks(self, inputs: np.ndarray) -> list[np.ndarray]:
-        k = self.alphabet_size
-        return [inputs[:, t * k : (t + 1) * k] for t in range(self.length)]
+    def _public(self, vector: np.ndarray) -> list[np.ndarray]:
+        stacks, head = self._split(vector)
+        return [stack[t] for t in range(self.length) for stack in stacks] + head
 
-    def _trunk(self, inputs: np.ndarray) -> tuple[np.ndarray, list[tuple[list, list]]]:
-        """Final carried state, and the (pre, post) activations of every position block."""
-        state = np.tile(self.initial_state, (inputs.shape[0], 1))
-        stacks = []
-        for block, params in zip(self._blocks(inputs), self.step_weights):
-            joint = np.concatenate([state, block], axis=1)
-            stacks.append(_stack_forward(params, ("relu", self.state_activation), joint))
-            state = stacks[-1][1][-1]
-        return state, stacks
+    def _step(self, t: int, joint: np.ndarray, hidden: np.ndarray, state: np.ndarray) -> None:
+        """Position t's block: ``hidden`` and then ``state`` from ``joint``, written in place."""
+        np.matmul(joint, self.w1[t].T, out=hidden)
+        hidden += self.b1[t]
+        np.maximum(hidden, 0.0, out=hidden)
+        np.matmul(hidden, self.w2[t].T, out=state)
+        state += self.b2[t]
+        if self.state_activation == "relu":
+            np.maximum(state, 0.0, out=state)
 
     def trunk_batch(self, inputs: np.ndarray) -> np.ndarray:
-        """Carried state after consuming the whole sequence."""
-        return self._trunk(_batch_of(inputs, self.input_dim))[0]
+        """Carried state after consuming the whole sequence, through two reused buffers."""
+        inputs = _batch_of(inputs, self.input_dim)
+        n, k = self.state_dim, self.alphabet_size
+        joint, hidden = np.empty((len(inputs), n + k)), np.empty((len(inputs), self.hidden_width))
+        joint[:, :n] = self.initial_state
+        for t in range(self.length):
+            joint[:, n:] = inputs[:, t * k : (t + 1) * k]
+            self._step(t, joint, hidden, joint[:, :n])
+        return joint[:, :n].copy()
 
     def head_outputs(self, inputs: np.ndarray) -> list[np.ndarray]:
         """Output after each head layer (last entry is the network output)."""
-        head = self.parameters[4 * self.length :]
-        return _stack_forward(head, self.head_activations, self.trunk_batch(inputs))[1][1:]
+        return _stack_forward(self._head, self.head_activations, self.trunk_batch(inputs))[1][1:]
 
     def forward_batch(self, inputs: np.ndarray) -> np.ndarray:
         return self.head_outputs(inputs)[-1]
 
-    def loss_and_gradients(
-        self, inputs: np.ndarray, targets: np.ndarray, loss: str, counts: np.ndarray | None = None
-    ) -> tuple[float, list[np.ndarray]]:
-        """Mean batch loss and exact reverse-mode gradients, parameter-shaped.
+    def _workspace(self, inputs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Training buffers: every position's joint input, its symbol block filled once;
+        the hidden values; the states, ``states[t + 1]`` being position t's output;
+        the gradients at the hidden and state pre-activations and at one joint
+        input; and a flat gradient with its views."""
+        (rows, _), length, n, k = inputs.shape, self.length, self.state_dim, self.alphabet_size
+        joint, states = np.empty((length, rows, n + k)), np.empty((length + 1, rows, n))
+        joint[:, :, n:] = inputs.reshape(rows, length, k).swapaxes(0, 1)
+        joint[:1, :, :n] = states[0] = self.initial_state
+        hidden, d_hidden = np.empty((2, length, rows, self.hidden_width))
+        d_states, d_joint = np.empty((length, rows, n)), np.empty((rows, n + k))
+        grad = np.empty_like(self.flat)
+        return joint, states, hidden, d_hidden, d_states, d_joint, grad, self._split(grad)
 
-        ``counts``, an ``(N, 1)`` column, makes row i count as ``counts[i]``
-        copies of itself: on distinct rows weighted by their counts this is
-        the same mean as on the rows with their repeats. Omitted, every row
-        counts once.
-        """
-        inputs, targets, counts = _as_batch(inputs, targets, counts, self.input_dim, self.output_dim)
-        state, stacks = self._trunk(inputs)
-        head = self.parameters[4 * self.length :]
-        pre, post = _stack_forward(head, self.head_activations, state)
-        value, dz = _loss_and_output_grad(
-            loss, pre[-1], post[-1], targets, self.head_activations[-1], counts
-        )
-        grads, dz = _stack_backward(head, self.head_activations, pre, post, dz)
-        d_state = dz @ head[0]  # gradient wrt the final carried state
-        for params, (pre, post) in zip(self.step_weights[::-1], stacks[::-1]):
-            dz = d_state * _GRADIENTS[self.state_activation](pre[-1], post[-1])
-            block_grads, dz = _stack_backward(params, ("relu", self.state_activation), pre, post, dz)
-            grads[:0] = block_grads
-            d_state = (dz @ params[0])[:, : self.state_dim]
-        return value, grads
+    def _loss_and_flat_gradient(self, work, targets, counts, loss: str) -> tuple[float, np.ndarray]:
+        joint, states, hidden, d_hidden, d_states, d_joint, grad, ((g_w1, g_b1, g_w2, g_b2), g_head) = work
+        n, length = self.state_dim, self.length
+        for t in range(length):
+            if t:
+                joint[t, :, :n] = states[t]
+            self._step(t, joint[t], hidden[t], states[t + 1])
+        state = states[length]
+        value, dz = _stack_gradients(self._head, self.head_activations, state, targets, counts, loss, g_head)
+        d_state = dz @ self._head[0]
+        # the carried-state chain runs one position at a time, the weight gradients in one batch
+        for t in range(length - 1, -1, -1):
+            d_states[t] = d_state
+            _times_derivative(self.state_activation, d_states[t], states[t + 1])
+            _times_derivative("relu", np.matmul(d_states[t], self.w2[t], out=d_hidden[t]), hidden[t])
+            if t:
+                d_state = np.matmul(d_hidden[t], self.w1[t], out=d_joint)[:, :n]
+        np.matmul(d_states.transpose(0, 2, 1), hidden, out=g_w2)
+        np.sum(d_states, axis=1, out=g_b2)
+        np.matmul(d_hidden.transpose(0, 2, 1), joint, out=g_w1)
+        np.sum(d_hidden, axis=1, out=g_b1)
+        return value, grad
 
 
 TrainableModel = TrainableMlp | UnrolledNet
@@ -367,6 +416,24 @@ class AdamState:
         return cls(config, np.zeros(size), np.zeros(size))
 
 
+def _adam_update(state: AdamState, g: np.ndarray, buffers: np.ndarray) -> np.ndarray:
+    """Advance ``state`` by the flat gradient ``g`` and return the update, written into
+    ``buffers[0]`` of two ``g.size`` buffers; the textbook per-array operations, in their order."""
+    config = state.config
+    state.step_count += 1
+    t = state.step_count
+    m, v, update, denominator = state.first_moment, state.second_moment, buffers[0], buffers[1]
+    m *= config.beta1
+    m += np.multiply(1.0 - config.beta1, g, out=update)
+    v *= config.beta2
+    v += np.multiply(np.multiply(1.0 - config.beta2, g, out=update), g, out=update)
+    np.multiply(config.learning_rate, np.divide(m, 1.0 - config.beta1**t, out=update), out=update)
+    np.sqrt(np.divide(v, 1.0 - config.beta2**t, out=denominator), out=denominator)
+    denominator += config.epsilon
+    update /= denominator
+    return update
+
+
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
     """One bias-corrected Adam update, applied to the parameters in place.
 
@@ -374,18 +441,8 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     from each parameter through its slice. Every operation is elementwise, so
     this gives the same bytes as updating each array on its own.
     """
-    config = state.config
-    state.step_count += 1
-    t = state.step_count
-    g = np.concatenate([grad.ravel() for grad in grads])
-    m, v = state.first_moment, state.second_moment
-    m *= config.beta1
-    m += (1.0 - config.beta1) * g
-    v *= config.beta2
-    v += (1.0 - config.beta2) * g * g
-    m_hat = m / (1.0 - config.beta1**t)
-    v_hat = v / (1.0 - config.beta2**t)
-    update = config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    update = _adam_update(state, np.concatenate([grad.ravel() for grad in grads]),
+                          np.empty((2, state.first_moment.size)))
     end = 0
     for p in params:
         start, end = end, end + p.size
@@ -405,23 +462,25 @@ def train(
     ``[inputs | targets]`` that are byte-equal are merged once, in
     first-occurrence order, and each epoch takes the same mean over the
     distinct rows weighted by their counts; a dataset without repeats trains
-    exactly as row by row. The model is updated in place; the trace holds the
-    loss at the start of each epoch (so zero epochs returns an empty trace and
-    leaves the parameters untouched). Deterministic given (model, data, config).
+    exactly as row by row. Adam updates ``model.flat`` in place. The trace
+    holds the loss at the start of each epoch (so zero epochs returns an empty
+    trace and leaves the parameters untouched). Deterministic given (model,
+    data, config).
     """
     config = config or TrainConfig()
     inputs, targets, _ = _as_batch(inputs, targets, None, model.input_dim, model.output_dim)
     first, index = _distinct_rows(np.concatenate([inputs, targets], axis=1))
     order = np.argsort(first)
     rows, counts = first[order], np.bincount(index)[order][:, None].astype(float)
-    inputs, targets = inputs[rows], targets[rows]
-    params = model.parameters
-    state = AdamState.for_parameters(params, config)
+    work = model._workspace(inputs[rows])
+    targets = targets[rows]
+    state = AdamState.for_parameters([model.flat], config)
+    buffers = np.empty((2, model.flat.size))
     trace: list[float] = []
     for epoch in range(config.epochs):
-        value, grads = model.loss_and_gradients(inputs, targets, config.loss, counts)
+        value, grad = model._loss_and_flat_gradient(work, targets, counts, config.loss)
         trace.append(value)
-        adam_step(params, grads, state)
+        model.flat -= _adam_update(state, grad, buffers)
         if progress is not None:
             progress(epoch, value)
     return trace

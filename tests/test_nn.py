@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from dfanet.automata import make_parity_dfa
 from dfanet.compiler import build_unrolled_acceptor
 from dfanet.encodings import encode_string
-from dfanet.network import forward
-from dfanet.nn import LOSSES, AdamState, TrainableMlp, TrainConfig, UnrolledNet, adam_step, train
+from dfanet.network import apply_activation, forward
+from dfanet.nn import LOSSES, TRAINABLE, AdamState, TrainableMlp, TrainConfig, UnrolledNet, adam_step, train
 
 
 def finite_difference_grads(model, inputs, targets, loss, h=1e-5):
@@ -389,23 +390,35 @@ def parity_rows(strings: np.ndarray):
     return np.eye(2)[strings].reshape(len(strings), -1), (strings.sum(axis=1) % 2)[:, None].astype(float)
 
 
+PLAIN_LOOP_MODELS = {
+    "unrolled-relu": lambda: UnrolledNet(4, 2, 4, 0, [1], ["sigmoid"], seed=8, hidden_width=6),
+    "unrolled-identity": lambda: UnrolledNet(
+        4, 2, 4, 0, [1], ["sigmoid"], seed=8, hidden_width=6, state_activation="identity"
+    ),
+    "unrolled-T0": lambda: UnrolledNet(4, 2, 0, 0, [3, 1], ["relu", "sigmoid"], seed=8, hidden_width=6),
+    "mlp": lambda: TrainableMlp([8, 6, 1], ["relu", "sigmoid"], seed=8),
+}
+
+
 def test_train_without_repeats_matches_a_plain_epoch_loop():
-    rng = np.random.default_rng(5)
-    # all 16 strings of length 4, shuffled so that first-occurrence order is not byte order
-    strings = np.array([[(i >> b) & 1 for b in range(4)] for i in rng.permutation(16)])
-    inputs, labels = parity_rows(strings)
-    config = TrainConfig(epochs=6, loss="bce")
-    kwargs = dict(head_dims=[1], head_activations=["sigmoid"], seed=8, hidden_width=6)
-    model, plain = (UnrolledNet(4, 2, 4, 0, **kwargs) for _ in range(2))
-    trace = train(model, inputs, labels, config)
-    state = AdamState.for_parameters(plain.parameters, config)
-    plain_trace = []
-    for _ in range(config.epochs):
-        value, grads = plain.loss_and_gradients(inputs, labels, "bce")
-        plain_trace.append(value)
-        adam_step(plain.parameters, grads, state)
-    assert trace == plain_trace
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(model.parameters, plain.parameters))
+    for family, make in PLAIN_LOOP_MODELS.items():
+        rng = np.random.default_rng(5)
+        # all 16 strings of length 4, shuffled so that first-occurrence order is not byte order
+        strings = np.array([[(i >> b) & 1 for b in range(4)] for i in rng.permutation(16)])
+        inputs, labels = parity_rows(strings)
+        model, plain = make(), make()
+        if model.input_dim == 0:  # no symbols: distinct soft targets keep the rows distinct
+            inputs, labels = np.zeros((16, 0)), rng.uniform(size=(16, 1))
+        config = TrainConfig(epochs=6, loss="bce")
+        trace = train(model, inputs, labels, config)
+        state = AdamState.for_parameters(plain.parameters, config)
+        plain_trace = []
+        for _ in range(config.epochs):
+            value, grads = plain.loss_and_gradients(inputs, labels, "bce")
+            plain_trace.append(value)
+            adam_step(plain.parameters, grads, state)
+        assert trace == plain_trace, family
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(model.parameters, plain.parameters)), family
 
 
 def test_train_with_repeats_follows_the_mean_over_all_rows():
@@ -422,3 +435,179 @@ def test_train_with_repeats_follows_the_mean_over_all_rows():
         adam_step(plain.parameters, grads, state)
     for a, b in zip(model.parameters, plain.parameters):
         assert np.allclose(a, b, rtol=0.0, atol=1e-10)
+
+
+# A plain per-position reference: every position block is its own dense stack
+# run on fresh arrays, and the activation derivatives are computed from the
+# pre-activations. The library's stacked kernel must give the same bytes.
+REFERENCE_DERIVATIVES = {
+    "relu": lambda z, a: (z > 0).astype(float),
+    "sigmoid": lambda z, a: a * (1.0 - a),
+    "identity": lambda z, a: np.ones_like(z),
+}
+
+
+def reference_forward(params, activations, x):
+    pre, post = [], [x]
+    for w, b, act in zip(params[::2], params[1::2], activations):
+        pre.append(post[-1] @ w.T + b)
+        post.append(apply_activation(act, pre[-1]))
+    return pre, post
+
+
+def reference_backward(params, activations, pre, post, dz):
+    grads = [np.empty(0)] * len(params)
+    for layer in range(len(activations) - 1, -1, -1):
+        grads[2 * layer] = dz.T @ post[layer]
+        grads[2 * layer + 1] = dz.sum(axis=0)
+        if layer:
+            upstream = dz @ params[2 * layer]
+            dz = upstream * REFERENCE_DERIVATIVES[activations[layer - 1]](pre[layer - 1], post[layer])
+    return grads, dz
+
+
+def reference_loss(loss, z, a, targets, last, counts):
+    total = counts.sum()
+    if loss == "bce":
+        per_elem = np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
+        return float((per_elem * counts).sum() / total), (a - targets) * counts / total
+    if loss == "softmax_ce":
+        shifted = z - z.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        value = float(-(targets * log_probs * counts).sum() / total)
+        return value, (np.exp(log_probs) - targets) * counts / total
+    diff = a - targets
+    grad = diff * counts / total * REFERENCE_DERIVATIVES[last](z, a)
+    return float(0.5 * (diff * diff * counts).sum() / total), grad
+
+
+def reference_trunk(model, params, inputs):
+    """Final state and every position block's (pre, post) activations, from fresh arrays."""
+    k = model.alphabet_size
+    state, stacks = np.tile(model.initial_state, (len(inputs), 1)), []
+    for t in range(model.length):
+        joint = np.concatenate([state, inputs[:, t * k : (t + 1) * k]], axis=1)
+        stacks.append(reference_forward(params[4 * t : 4 * t + 4], ("relu", model.state_activation), joint))
+        state = stacks[-1][1][-1]
+    return state, stacks
+
+
+def reference_loss_and_gradients(model, inputs, targets, loss, counts):
+    params = [p.copy() for p in model.parameters]
+    if isinstance(model, TrainableMlp):
+        pre, post = reference_forward(params, model.activations, inputs)
+        value, dz = reference_loss(loss, pre[-1], post[-1], targets, model.activations[-1], counts)
+        return value, reference_backward(params, model.activations, pre, post, dz)[0]
+    n, length = model.state_dim, model.length
+    block_activations = ("relu", model.state_activation)
+    state, stacks = reference_trunk(model, params, inputs)
+    head = params[4 * length :]
+    pre, post = reference_forward(head, model.head_activations, state)
+    value, dz = reference_loss(loss, pre[-1], post[-1], targets, model.head_activations[-1], counts)
+    grads, dz = reference_backward(head, model.head_activations, pre, post, dz)
+    d_state = dz @ head[0]
+    for t in range(length - 1, -1, -1):
+        pre, post = stacks[t]
+        block = params[4 * t : 4 * t + 4]
+        dz = d_state * REFERENCE_DERIVATIVES[model.state_activation](pre[-1], post[-1])
+        block_grads, dz = reference_backward(block, block_activations, pre, post, dz)
+        grads[:0] = block_grads
+        d_state = (dz @ block[0])[:, :n]
+    return value, grads
+
+
+@st.composite
+def kernel_cases(draw):
+    loss = draw(st.sampled_from(LOSSES))
+    last = {"bce": "sigmoid", "softmax_ce": "identity"}.get(loss) or draw(st.sampled_from(TRAINABLE))
+    hidden_heads = draw(st.lists(st.sampled_from(TRAINABLE), max_size=2))
+    head_dims = [draw(st.integers(1, 4)) for _ in range(len(hidden_heads) + 1)]
+    k, rows, seed = draw(st.integers(1, 3)), draw(st.integers(1, 9)), draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        length = draw(st.integers(0, 6))
+        model = UnrolledNet(
+            draw(st.integers(1, 5)), k, length, 0, head_dims, hidden_heads + [last], seed=seed,
+            hidden_width=draw(st.integers(1, 6)),
+            state_activation=draw(st.sampled_from(["relu", "identity"])),
+        )
+    else:
+        model = TrainableMlp([draw(st.integers(1, 6)), *head_dims], hidden_heads + [last], seed=seed)
+    weighted = draw(st.booleans())
+    return model, loss, rows, weighted, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_stacked_kernel_matches_a_per_position_reference_bit_for_bit(case):
+    model, loss, rows, weighted, seed = case
+    rng = np.random.default_rng(seed)
+    for param in model.parameters:  # off the init, which zeroes the last head layer and the biases
+        param[...] = rng.normal(scale=0.8, size=param.shape)
+    inputs = rng.integers(0, 2, (rows, model.input_dim)).astype(float)
+    targets = draw_targets(loss, rng, rows, model.output_dim)
+    counts = rng.integers(1, 5, (rows, 1)).astype(float) if weighted else None
+    value, grads = model.loss_and_gradients(inputs, targets, loss, counts)
+    expected_value, expected = reference_loss_and_gradients(
+        model, inputs, targets, loss, np.ones((rows, 1)) if counts is None else counts
+    )
+    assert repr(value) == repr(expected_value)
+    assert [g.shape for g in grads] == [e.shape for e in expected]
+    assert all(g.tobytes() == e.tobytes() for g, e in zip(grads, expected))
+
+
+@pytest.mark.parametrize("family", ["unrolled", "mlp"])
+def test_parameters_are_views_of_one_flat_vector(family):
+    rng = np.random.default_rng(3)
+    model = perturbed_model(family, "bce", rng)
+    params = model.parameters
+    offsets = np.cumsum([0] + [p.size for p in params])
+    assert offsets[-1] == model.flat.size
+    for param, offset in zip(params, offsets):
+        assert param.flags.writeable and np.shares_memory(param, model.flat)
+        assert param.ctypes.data == model.flat.ctypes.data + offset * model.flat.itemsize
+    assert np.concatenate([p.ravel() for p in params]).tobytes() == model.flat.tobytes()
+    if family == "unrolled":
+        stacks = (model.w1, model.b1, model.w2, model.b2)
+        assert [s.shape for s in stacks] == [(2, 4, 5), (2, 4), (2, 3, 4), (2, 3)]
+        named = [a for layer in [*model.step_weights, *model.head_weights] for a in layer]
+        stacked = [s[t] for t in range(model.length) for s in stacks]
+    else:
+        named = [a for layer in zip(model.weights, model.biases) for a in layer]
+        stacked = []
+    for param, view in zip(params, named):
+        assert (param.ctypes.data, param.shape) == (view.ctypes.data, view.shape)
+    for param, view in zip(params, stacked):
+        assert (param.ctypes.data, param.shape) == (view.ctypes.data, view.shape)
+    assert AdamState.for_parameters(params, TrainConfig()).first_moment.size == model.flat.size
+
+    # an in-place edit through a flat view, as a central-difference check makes one
+    inputs = np.eye(2)[rng.integers(0, 2, (5, 2))].reshape(5, 4)
+    targets = draw_targets("bce", rng, 5, 3)
+    before, _ = model.loss_and_gradients(inputs, targets, "bce")
+    params[0].reshape(-1)[0] += 0.5
+    edited, _ = model.loss_and_gradients(inputs, targets, "bce")
+    assert edited != before
+    assert train(model, inputs, targets, TrainConfig(epochs=1, loss="bce")) == [edited]
+
+
+def test_forward_only_calls_keep_no_per_position_activations():
+    model = UnrolledNet(4, 2, 20, 0, [3, 1], ["relu", "sigmoid"], seed=1, hidden_width=8)
+    rng = np.random.default_rng(2)
+    inputs = np.eye(2)[rng.integers(0, 2, (16_384, 20))].reshape(16_384, 40)
+    tracemalloc.start()
+    try:
+        trunk = model.trunk_batch(inputs)
+        outputs = model.forward_batch(inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    targets = draw_targets("bce", rng, len(inputs), 1)
+    work = model._workspace(inputs)
+    model._loss_and_flat_gradient(work, targets, np.ones((len(inputs), 1)), "bce")
+    assert trunk.tobytes() == work[1][-1].tobytes()  # the training trunk's final states
+    params = model.parameters
+    state = reference_trunk(model, params, inputs)[0]
+    assert trunk.tobytes() == state.tobytes()
+    head = params[4 * model.length :]
+    assert outputs.tobytes() == reference_forward(head, model.head_activations, state)[1][-1].tobytes()
