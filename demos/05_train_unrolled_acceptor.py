@@ -12,6 +12,7 @@ from dfanet import TrainConfig, UnrolledNet, train
 from dfanet.automata import make_parity_dfa
 from dfanet.compiler import build_unrolled_acceptor, verify_exact
 from dfanet.experiments import gen_dfa_dataset, split_dataset
+from dfanet.network import forward_batch
 
 LENGTH = 6
 parity = make_parity_dfa()
@@ -33,7 +34,7 @@ trace = train(model, train_part.inputs, train_part.labels, TrainConfig(epochs=20
 for epoch in (0, 10, 50, 100, 199):
     print(f"epoch {epoch:3d}: loss {trace[epoch]:.6f}")
 
-predictions = np.floor(model.forward_batch(eval_part.inputs) + 0.5)
+predictions = np.floor(forward_batch(model.to_network(), eval_part.inputs) + 0.5)
 accuracy = float((predictions == eval_part.labels).mean())
 print(f"\ntrained accuracy on held-out strings: {accuracy:.4f}")
 

@@ -1,16 +1,19 @@
-"""Where the approach stops: a^n b^n needs unbounded counting.
+"""Where training stops generalising: counting in a^n b^n.
 
-A fixed-size feedforward network trained on short instances of the a^n b^n
-membership task memorizes them perfectly, then performs at chance on longer
-unseen instances: there is no finite-state shortcut for comparing two
-unbounded counts. Contrast with the regular-language demos, where compiled
-networks are exact at every length.
+A width-32 MLP trained on a^n b^n membership for n in [1, 5] memorizes the
+training range, then scores near chance on n in [6, 10]: it has not learned to
+compare the two counts. This is a limit of what training found, not of the
+architecture. Padded to 20 symbols the language is finite, hence regular, and
+a compiled acceptor of its DFA labels both ranges exactly. The paper's
+boundary is about a^n b^n at unbounded length, where no automaton, and so no
+fixed network, suffices.
 """
 
 import numpy as np
 
 from dfanet import TrainableMlp, TrainConfig, train
 from dfanet.experiments import gen_anbn_dataset
+from dfanet.network import forward_batch
 
 train_data = gen_anbn_dataset((1, 5), count=2000, max_len=20, seed=0)
 test_data = gen_anbn_dataset((6, 10), count=2000, max_len=20, seed=1)
@@ -20,7 +23,7 @@ train(model, train_data.inputs, train_data.labels, TrainConfig(epochs=200, loss=
 
 
 def accuracy(data):
-    predictions = np.floor(model.forward_batch(data.inputs) + 0.5)
+    predictions = np.floor(forward_batch(model.to_network(), data.inputs) + 0.5)
     return float((predictions == data.labels).mean())
 
 

@@ -41,7 +41,7 @@ import numpy as np
 from .automata import Dfa, _distinct_rows, accepts_batch, all_strings
 from .encodings import binary_state_encoding, bits_for_state_count, encode_strings, one_hot_state_encoding
 from .encodings import transition_table
-from .network import LayerSpec, NetworkSpec, _layer_step, _Step, forward_batch
+from .network import LayerSpec, NetworkSpec, _beside_identity, _layer_step, _Step, forward_batch
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 24
 _CHUNK = 1 << 16  # strings per enumeration chunk, and the most rows one walk stage may hold
@@ -71,15 +71,6 @@ def dfa_fingerprint(dfa: Dfa) -> str:
         ]
     )
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _beside_identity(block: np.ndarray, bias: np.ndarray, tail: int, activation: str) -> LayerSpec:
-    """``block`` and its ``bias`` beside a ``tail``-wide identity passing the last inputs through."""
-    rows, cols = block.shape
-    weights = np.zeros((rows + tail, cols + tail))
-    weights[:rows, :cols] = block
-    np.fill_diagonal(weights[rows:, cols:], 1.0)
-    return LayerSpec(weights=weights, bias=np.concatenate([bias, np.zeros(tail)]), activation=activation)
 
 
 def build_transition_layer(dfa: Dfa) -> NetworkSpec:

@@ -6,7 +6,9 @@ default), and aggregates per-seed metrics into mean / sample std / 95%
 confidence intervals (Student's t). The thm1, lemma1 and lemma2 sweeps also
 evaluate the exact compiled counterpart, so their reports carry both the
 learned and the constructive numbers; cor31 verifies its compiled acceptors
-itself, and thm2 and cor21 carry no counterpart yet.
+itself, and thm2 and cor21 carry no counterpart yet. Every worker scores its
+trained model as a network: ``to_network()`` exports it and
+``network.forward_batch``, the evaluator of compiled networks, runs it.
 
 A generated ``Dataset`` is only its input and label rows. What made it, the
 seed tuple and the automaton, is known to the worker that called the
@@ -42,8 +44,7 @@ from .compiler import (
 )
 from .encodings import binary_state_encoding, bits_for_state_count, encode_strings
 from .encodings import one_hot_state_encoding, transition_table
-from .network import NetworkSpec
-from .network import forward_batch as spec_forward_batch
+from .network import NetworkSpec, forward_batch
 from .nn import TrainableMlp, TrainConfig, UnrolledNet, train
 
 DEFAULT_SEEDS: tuple[int, ...] = (0, 1, 2, 3, 4)
@@ -297,7 +298,8 @@ def _acceptor_seed(seed, length, samples, epochs, progress) -> dict:
         length, samples, epochs, DEFAULT_STATE_WIDTH,
         f"T={length} seed={seed}" if progress else None,
     )
-    return {"accuracy": _binary_accuracy(model.forward_batch(evaluation.inputs), evaluation.labels)}
+    outputs = forward_batch(model.to_network(), evaluation.inputs)
+    return {"accuracy": _binary_accuracy(outputs, evaluation.labels)}
 
 
 def _embedding_seed(
@@ -313,7 +315,9 @@ def _embedding_seed(
         dfa, gen_dfa_state_dataset, (seed, *key), heads, "softmax_ce",
         length, samples, epochs, state_width, f"{label} seed={seed}" if progress else None,
     )
-    embeddings, logits = model.head_outputs(evaluation.inputs)
+    net = model.to_network()
+    embeddings = forward_batch(NetworkSpec(net.layers[:-1], net.input_dim, embedding_dim), evaluation.inputs)
+    logits = forward_batch(NetworkSpec(net.layers[-1:], embedding_dim, net.output_dim), embeddings)
     classes = evaluation.labels.argmax(axis=1)
     row = {"accuracy": _argmax_accuracy(logits, evaluation.labels)}
     if centroid:
@@ -327,7 +331,7 @@ def _transition_seed(seed, n, k, epochs, progress) -> dict:
     data = gen_transition_dataset(random_dfa(n, k, seed=(seed, _DATA, n, k)))
     model = TrainableMlp([n + k, DEFAULT_HIDDEN_WIDTH, n], ["relu", "identity"], seed=(seed, _INIT, n, k))
     _fit(model, data, "mse", epochs, f"n={n} k={k} seed={seed}" if progress else None)
-    return {"accuracy": _argmax_accuracy(model.forward_batch(data.inputs), data.labels)}
+    return {"accuracy": _argmax_accuracy(forward_batch(model.to_network(), data.inputs), data.labels)}
 
 
 def _binary_transition_seed(seed, n, epochs, progress) -> dict:
@@ -335,7 +339,7 @@ def _binary_transition_seed(seed, n, epochs, progress) -> dict:
     dims = [data.inputs.shape[1], DEFAULT_HIDDEN_WIDTH, data.labels.shape[1]]
     model = TrainableMlp(dims, ["relu", "sigmoid"], seed=(seed, _INIT, n))
     _fit(model, data, "bce", epochs, f"n={n} seed={seed}" if progress else None)
-    return {"accuracy": _binary_accuracy(model.forward_batch(data.inputs), data.labels)}
+    return {"accuracy": _binary_accuracy(forward_batch(model.to_network(), data.inputs), data.labels)}
 
 
 def _anbn_seed(seed, train_range, test_range, samples, epochs, progress) -> dict:
@@ -347,7 +351,7 @@ def _anbn_seed(seed, train_range, test_range, samples, epochs, progress) -> dict
     model = TrainableMlp(dims, ["relu", "sigmoid"], seed=(seed, _INIT))
     _fit(model, train_data, "bce", epochs, f"seed={seed}" if progress else None)
     held_out, trained = (
-        _binary_accuracy(model.forward_batch(data.inputs), data.labels)
+        _binary_accuracy(forward_batch(model.to_network(), data.inputs), data.labels)
         for data in (test_data, train_data)
     )
     return {"held_out_accuracy": held_out, "train_accuracy": trained}
@@ -381,7 +385,7 @@ def _centroid_distance(embeddings: np.ndarray, labels: np.ndarray) -> float:
 
 def _compiled_accuracy(net: NetworkSpec, data: Dataset) -> float:
     """Share of rows whose label the compiled network reproduces exactly."""
-    return float((spec_forward_batch(net, data.inputs) == data.labels).all(axis=1).mean())
+    return float((forward_batch(net, data.inputs) == data.labels).all(axis=1).mean())
 
 
 # ---------------------------------------------------------------------------

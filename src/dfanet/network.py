@@ -103,6 +103,15 @@ class LayerSpec:
         return k - (int(broken[-1]) + 1 if broken.size else 0)
 
 
+def _beside_identity(block: np.ndarray, bias: np.ndarray, tail: int, activation: str) -> LayerSpec:
+    """``block`` and its ``bias`` beside a ``tail``-wide identity passing the last inputs through."""
+    rows, cols = block.shape
+    weights = np.zeros((rows + tail, cols + tail))
+    weights[:rows, :cols] = block
+    np.fill_diagonal(weights[rows:, cols:], 1.0)
+    return LayerSpec(weights=weights, bias=np.concatenate([bias, np.zeros(tail)]), activation=activation)
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """A chain of layers plus construction provenance metadata."""

@@ -1,9 +1,11 @@
-"""Minimal dense neural runtime: forward evaluation, backprop, Adam.
+"""Minimal dense training runtime: backprop and Adam.
 
 Two trainable model families cover every experiment in the suite: a plain
 :class:`TrainableMlp` and the :class:`UnrolledNet`, which stacks one unshared
 two-layer ReLU block per sequence position (consuming the carried state and
 that position's one-hot symbol block) under a configurable head stack.
+This module only trains them: ``to_network()`` exports either model to the
+network IR, and ``network.forward_batch`` evaluates it, as it does a compiled one.
 Each model keeps its parameters in one flat vector, ``flat``, whose views are
 the public arrays in order; the unrolled blocks are stacked over positions,
 so one ``np.matmul`` gives every position's weight gradient. ``train``
@@ -22,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .automata import _distinct_rows
-from .network import apply_activation
+from .network import LayerSpec, NetworkSpec, _beside_identity, apply_activation, forward_batch
 
 LOSSES = ("bce", "mse", "softmax_ce")
 TRAINABLE = ("relu", "sigmoid", "identity")
@@ -81,28 +83,19 @@ def _loss_and_output_grad(
     raise ValueError(f"unknown loss {loss!r}; choose from {LOSSES}")
 
 
-def _stack_forward(
-    params: Sequence[np.ndarray], activations: Sequence[str], x: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Run a dense stack; ``params`` alternates weight and bias, one pair per activation.
+def _stack_gradients(
+    params: Sequence[np.ndarray], activations: Sequence[str], x, targets, counts, loss: str, grads: list
+) -> tuple[float, np.ndarray]:
+    """Loss of a dense stack on ``x`` and the gradient at its first pre-activation.
 
-    Returns the pre-activation of every layer and the post-activations, the
-    latter starting with ``x`` itself.
+    ``params`` alternates weight and bias, one pair per activation; the
+    parameter gradients are written into ``grads``, which is shaped like ``params``.
     """
     pre: list[np.ndarray] = []
     post: list[np.ndarray] = [x]
     for w, b, act in zip(params[::2], params[1::2], activations):
         pre.append(post[-1] @ w.T + b)
         post.append(apply_activation(act, pre[-1]))
-    return pre, post
-
-
-def _stack_gradients(
-    params: Sequence[np.ndarray], activations: Sequence[str], x, targets, counts, loss: str, grads: list
-) -> tuple[float, np.ndarray]:
-    """Loss of a dense stack on ``x`` and the gradient at its first pre-activation; the
-    parameter gradients are written into ``grads``, which is shaped like ``params``."""
-    pre, post = _stack_forward(params, activations, x)
     value, dz = _loss_and_output_grad(loss, pre[-1], post[-1], targets, activations[-1], counts)
     for layer in range(len(activations) - 1, -1, -1):
         np.matmul(dz.T, post[layer], out=grads[2 * layer])
@@ -135,14 +128,6 @@ def _as_batch(
     if counts.shape != (inputs.shape[0], 1):
         raise ValueError(f"expected counts of shape ({inputs.shape[0]}, 1), got {counts.shape}")
     return inputs, targets, counts
-
-
-def _batch_of(inputs, input_dim: int) -> np.ndarray:
-    """``inputs`` as a float batch of ``input_dim``-vectors, or a ValueError."""
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim != 2 or inputs.shape[1] != input_dim:
-        raise ValueError(f"expected a batch of {input_dim}-vectors")
-    return inputs
 
 
 def _init_weights(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
@@ -217,8 +202,10 @@ class TrainableMlp(_FlatModel):
     def _public(self, vector: np.ndarray) -> list[np.ndarray]:
         return [view[0] for view in _carve(vector[None], self._shapes)]
 
-    def forward_batch(self, inputs: np.ndarray) -> np.ndarray:
-        return _stack_forward(self._params, self.activations, _batch_of(inputs, self.input_dim))[1][-1]
+    def to_network(self) -> NetworkSpec:
+        """The model as a network, one layer per affine layer, holding a copy of the weights."""
+        layers = [LayerSpec(w, b, act) for w, b, act in zip(self.weights, self.biases, self.activations)]
+        return NetworkSpec(tuple(layers), self.input_dim, self.output_dim, {"construction": "trained-mlp"})
 
     def _workspace(self, inputs: np.ndarray) -> tuple:
         grad = np.empty_like(self.flat)
@@ -311,33 +298,35 @@ class UnrolledNet(_FlatModel):
         stacks, head = self._split(vector)
         return [stack[t] for t in range(self.length) for stack in stacks] + head
 
-    def _step(self, t: int, joint: np.ndarray, hidden: np.ndarray, state: np.ndarray) -> None:
-        """Position t's block: ``hidden`` and then ``state`` from ``joint``, written in place."""
-        np.matmul(joint, self.w1[t].T, out=hidden)
-        hidden += self.b1[t]
-        np.maximum(hidden, 0.0, out=hidden)
-        np.matmul(hidden, self.w2[t].T, out=state)
-        state += self.b2[t]
-        if self.state_activation == "relu":
-            np.maximum(state, 0.0, out=state)
+    def to_network(self) -> NetworkSpec:
+        """The model as the unrolled acceptor's network, holding a copy of the weights.
+
+        Layer 0 reads no input and emits the initial state beside an identity
+        over all T symbol blocks. Position t adds its ReLU layer and its state
+        layer, each beside an identity over the (T - t - 1)k unread columns,
+        and the head follows, one layer per head layer. ``forward_batch`` on it
+        gives this model's outputs on inputs with no negative entry, as every
+        encoded string is (identity rows of a ReLU layer clip the columns they
+        carry); ``verify_exact`` and the file format take it like a compiled network.
+
+        ``verify_exact``'s verdict is column 0 > 0.5, while the experiments'
+        binary accuracy rounds 0.5 up. An untrained sigmoid acceptor's zeroed
+        last head layer outputs 0.5 exactly, so it verifies as rejecting every
+        string and scores as accepting every one.
+        """
+        n, k, length = self.state_dim, self.alphabet_size, self.length
+        layers = [_beside_identity(np.zeros((n, 0)), self.initial_state, length * k, "identity")]
+        for t in range(length):
+            tail = (length - t - 1) * k
+            layers.append(_beside_identity(self.w1[t], self.b1[t], tail, "relu"))
+            layers.append(_beside_identity(self.w2[t], self.b2[t], tail, self.state_activation))
+        layers += [LayerSpec(w, b, act) for (w, b), act in zip(self.head_weights, self.head_activations)]
+        return NetworkSpec(tuple(layers), self.input_dim, self.output_dim, {"construction": "trained-unrolled"})
 
     def trunk_batch(self, inputs: np.ndarray) -> np.ndarray:
-        """Carried state after consuming the whole sequence, through two reused buffers."""
-        inputs = _batch_of(inputs, self.input_dim)
-        n, k = self.state_dim, self.alphabet_size
-        joint, hidden = np.empty((len(inputs), n + k)), np.empty((len(inputs), self.hidden_width))
-        joint[:, :n] = self.initial_state
-        for t in range(self.length):
-            joint[:, n:] = inputs[:, t * k : (t + 1) * k]
-            self._step(t, joint, hidden, joint[:, :n])
-        return joint[:, :n].copy()
-
-    def head_outputs(self, inputs: np.ndarray) -> list[np.ndarray]:
-        """Output after each head layer (last entry is the network output)."""
-        return _stack_forward(self._head, self.head_activations, self.trunk_batch(inputs))[1][1:]
-
-    def forward_batch(self, inputs: np.ndarray) -> np.ndarray:
-        return self.head_outputs(inputs)[-1]
+        """Carried state after consuming the whole sequence: the network's first 2T + 1 layers."""
+        trunk = self.to_network().layers[: 2 * self.length + 1]
+        return forward_batch(NetworkSpec(trunk, self.input_dim, self.state_dim), inputs)
 
     def _workspace(self, inputs: np.ndarray) -> tuple[np.ndarray, ...]:
         """Training buffers: every position's joint input, its symbol block filled once;
@@ -359,7 +348,13 @@ class UnrolledNet(_FlatModel):
         for t in range(length):
             if t:
                 joint[t, :, :n] = states[t]
-            self._step(t, joint[t], hidden[t], states[t + 1])
+            np.matmul(joint[t], self.w1[t].T, out=hidden[t])
+            hidden[t] += self.b1[t]
+            np.maximum(hidden[t], 0.0, out=hidden[t])
+            np.matmul(hidden[t], self.w2[t].T, out=states[t + 1])
+            states[t + 1] += self.b2[t]
+            if self.state_activation == "relu":
+                np.maximum(states[t + 1], 0.0, out=states[t + 1])
         state = states[length]
         value, dz = _stack_gradients(self._head, self.head_activations, state, targets, counts, loss, g_head)
         d_state = dz @ self._head[0]

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfanet.cli import build_parser, main
+from dfanet.compiler import verify_exact
 from dfanet.formats import DocumentError, format_network_document, parse_dfa_document, parse_network_document
 
-from test_compiler import flipped_readout, half_block_net
+from test_compiler import flipped_readout, half_block_net, trained_export
 from test_formats import BAD_LAYERS, ONE_LAYER_TEXT, VALID_NETWORKS, dfa_documents, network_documents
 
 PARITY_TEXT = """\
@@ -195,6 +196,19 @@ def test_verify_walks_past_the_enumeration_budget(tmp_path, parity_file, capsys)
         f"first witness: {'0' * 29 + '1'!r} automaton=False network=True\n"
     )
     assert main(["verify", str(net_path), str(parity_file), "--length", "30", "--sampled", "200"]) == 0
+
+
+def test_verify_of_a_written_trained_export_prints_the_in_process_verdict(tmp_path, parity_file, capsys):
+    parity = parse_dfa_document(PARITY_TEXT).dfa
+    net = trained_export(parity, 6, samples=200, epochs=60, seed=0)
+    report = verify_exact(net, parity, 6)
+    witness, expected, got = report.witness
+    net_path = write_network(tmp_path / "trained.net", net)
+    assert main(["verify", net_path, str(parity_file), "--length", "6"]) == 1
+    assert capsys.readouterr().out == (
+        f"{64 - report.mismatch_count}/64 exhaustive checks match\n"
+        f"first witness: {''.join(map(str, witness))!r} automaton={expected} network={got}\n"
+    )
 
 
 def test_the_parser_is_built_once_and_keeps_no_options_between_calls(tmp_path, parity_file, capsys):

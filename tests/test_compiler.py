@@ -20,8 +20,9 @@ from dfanet.compiler import (
     verify_sampled,
 )
 from dfanet.encodings import binary_state_encoding, encode_string, encode_strings, one_hot
-from dfanet.experiments import gen_binary_transition_dataset, gen_transition_dataset
+from dfanet.experiments import gen_binary_transition_dataset, gen_dfa_dataset, gen_transition_dataset
 from dfanet.network import LayerSpec, NetworkSpec, _layer_step, forward, forward_batch
+from dfanet.nn import TrainConfig, UnrolledNet, train
 
 from conftest import dfas, plain_accepts, plain_fold, scaled_acceptor
 
@@ -453,6 +454,30 @@ def test_verify_exact_walks_compiled_nets_without_a_forward_pass(make, monkeypat
             report = verify_exact(flipped_readout(net, 0), dfa, length)  # mismatches listed from the tables
             assert report.total_strings == dfa.alphabet_size**length
     assert verify_exact(build_unrolled_acceptor(make_mod_counter_dfa(4), 12), make_mod_counter_dfa(4), 12).exact
+
+
+def trained_export(dfa, length, samples, epochs, seed):
+    """A small unrolled acceptor trained on ``samples`` labelled strings of ``dfa``, exported to the IR."""
+    data = gen_dfa_dataset(dfa, length, samples, seed=seed)
+    model = UnrolledNet(8, dfa.alphabet_size, length, dfa.start_state, [1], ["sigmoid"], seed=seed, hidden_width=16)
+    train(model, data.inputs, data.labels, TrainConfig(epochs=epochs, loss="bce"))
+    return model.to_network()
+
+
+@pytest.mark.parametrize(
+    "dfa, length, samples, epochs, exact",
+    [(make_parity_dfa(), 6, 800, 200, True), (make_parity_dfa(), 6, 200, 60, False),
+     (make_mod_counter_dfa(3), 8, 200, 60, False)],
+    ids=["parity-T6-exact", "parity-T6", "mod3-T8"],
+)
+def test_verify_exact_walks_a_trained_export(dfa, length, samples, epochs, exact, monkeypatch):
+    net = trained_export(dfa, length, samples, epochs, seed=0)
+    calls = counting_forward_batch(monkeypatch)
+    report = verify_exact(net, dfa, length)
+    assert report.exact == exact
+    assert report.mismatches == enumerated_report(net, dfa, length)[1]
+    assert calls == []  # the walk decided, counted and listed every string
+    assert (report.mismatch_count, report.witness) == (len(report.mismatches), (report.mismatches or [None])[0])
 
 
 def flipped_readout_entries(net, flips):

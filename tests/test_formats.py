@@ -22,6 +22,7 @@ from dfanet.formats import (
     parse_network_document,
 )
 from dfanet.network import LayerSpec, NetworkSpec, forward_batch
+from dfanet.nn import TrainableMlp, UnrolledNet
 
 PARITY_TEXT = """\
 # even parity
@@ -166,6 +167,22 @@ def test_network_round_trip_preserves_evaluation():
     strings = rng.integers(0, 2, size=(50, 4))
     inputs = encode_strings(strings, 2)
     assert np.array_equal(forward_batch(net, inputs), forward_batch(loaded, inputs))
+
+
+@pytest.mark.parametrize("family", ["unrolled", "mlp"])
+def test_a_trained_export_round_trips_to_the_same_output_bytes(family):
+    rng = np.random.default_rng(1)
+    if family == "unrolled":
+        model = UnrolledNet(3, 2, 4, 0, [4, 1], ["relu", "sigmoid"], seed=2, hidden_width=5)
+    else:
+        model = TrainableMlp([8, 5, 2], ["relu", "sigmoid"], seed=2)
+    for param in model.parameters:  # awkward doubles, off the init's zeroed last layer
+        param[...] = rng.normal(size=param.shape)
+    net = model.to_network()
+    loaded = parse_network_document(format_network_document(net))
+    assert loaded.metadata == net.metadata == {"construction": f"trained-{family}"}
+    inputs = encode_strings(rng.integers(0, 2, size=(50, 4)), 2)
+    assert forward_batch(loaded, inputs).tobytes() == forward_batch(net, inputs).tobytes()
 
 
 def test_network_round_trip_full_precision():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dfanet.automata import make_parity_dfa
 from dfanet.compiler import build_unrolled_acceptor
 from dfanet.encodings import encode_string
-from dfanet.network import apply_activation, forward
+from dfanet.network import apply_activation, forward, forward_batch
 from dfanet.nn import LOSSES, TRAINABLE, AdamState, TrainableMlp, TrainConfig, UnrolledNet, adam_step, train
 
 
@@ -47,7 +47,7 @@ def test_forward_on_compiled_spec_and_mlp():
     mlp = TrainableMlp([2, 2], ["identity"], seed=0)
     mlp.weights[0][:] = np.eye(2)
     mlp.biases[0][:] = 0.0
-    assert mlp.forward_batch(np.array([[1.5, -2.0]]))[0].tolist() == [1.5, -2.0]
+    assert forward_batch(mlp.to_network(), np.array([[1.5, -2.0]]))[0].tolist() == [1.5, -2.0]
 
 
 def test_init_mlp_shapes_and_count():
@@ -179,7 +179,7 @@ def test_train_learns_two_bit_and():
     labels = np.array([[0.0], [0.0], [0.0], [1.0]])
     mlp = TrainableMlp([2, 8, 1], ["relu", "sigmoid"], seed=0)
     trace = train(mlp, inputs, labels, TrainConfig(epochs=200, loss="bce"))
-    predictions = np.floor(mlp.forward_batch(inputs) + 0.5)
+    predictions = np.floor(forward_batch(mlp.to_network(), inputs) + 0.5)
     assert np.array_equal(predictions, labels)
     assert trace[-1] < trace[0]
 
@@ -254,20 +254,30 @@ def test_unrolled_net_zero_length():
         state_dim=2, alphabet_size=2, length=0, start_state=0,
         head_dims=[1], head_activations=["sigmoid"], seed=0,
     )
-    out = model.forward_batch(np.zeros((3, 0)))
+    out = forward_batch(model.to_network(), np.zeros((3, 0)))
     assert out.shape == (3, 1)
     assert np.all(out == out[0])
 
 
-@pytest.mark.parametrize("method", ["forward_batch", "head_outputs", "trunk_batch"])
-@pytest.mark.parametrize("shape", [(3, 7), (3, 5), (6,), (2, 3, 2)], ids=["wider", "narrower", "1-D", "3-D"])
-def test_unrolled_net_rejects_a_batch_that_is_not_of_input_vectors(method, shape):
+@pytest.mark.parametrize("method", ["forward_batch", "trunk_batch"])
+@pytest.mark.parametrize(
+    "shape,message",
+    [
+        ((3, 7), "network expects 6, got 7"),
+        ((3, 5), "network expects 6, got 5"),
+        ((6,), "forward_batch expects a 2-D batch"),
+        ((2, 3, 2), "forward_batch expects a 2-D batch"),
+    ],
+    ids=["wider", "narrower", "1-D", "3-D"],
+)
+def test_unrolled_net_rejects_a_batch_that_is_not_of_input_vectors(method, shape, message):
     model = UnrolledNet(
         state_dim=2, alphabet_size=2, length=3, start_state=0,
         head_dims=[1], head_activations=["sigmoid"], seed=0, hidden_width=4,
     )
-    with pytest.raises(ValueError, match="expected a batch of 6-vectors"):
-        getattr(model, method)(np.zeros(shape))
+    run = model.trunk_batch if method == "trunk_batch" else lambda x: forward_batch(model.to_network(), x)
+    with pytest.raises(ValueError, match=message):
+        run(np.zeros(shape))
 
 
 def test_unrolled_net_deterministic_per_seed():
@@ -555,6 +565,32 @@ def test_stacked_kernel_matches_a_per_position_reference_bit_for_bit(case):
     assert all(g.tobytes() == e.tobytes() for g, e in zip(grads, expected))
 
 
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_export_evaluates_like_a_per_position_reference_bit_for_bit(case):
+    model, _, rows, _, seed = case
+    rng = np.random.default_rng(seed)
+    for param in model.parameters:
+        param[...] = rng.normal(scale=0.8, size=param.shape)
+    net = model.to_network()
+    params = [p.copy() for p in model.parameters]
+    if isinstance(model, TrainableMlp):
+        inputs = rng.normal(size=(rows, model.input_dim))
+        expected = reference_forward(params, model.activations, inputs)[1][-1]
+        assert net.metadata == {"construction": "trained-mlp"} and len(net.layers) == len(model.activations)
+    else:
+        # the relu layers pass unread columns through relu, so the export equals the model on
+        # inputs with no negative entry, as every encoded string is
+        inputs = rng.uniform(size=(rows, model.input_dim))
+        state = reference_trunk(model, params, inputs)[0]
+        expected = reference_forward(params[4 * model.length :], model.head_activations, state)[1][-1]
+        assert net.metadata == {"construction": "trained-unrolled"}
+        assert len(net.layers) == 2 * model.length + 1 + len(model.head_activations)
+        assert model.trunk_batch(inputs).tobytes() == state.tobytes()
+    outputs = forward_batch(net, inputs)
+    assert outputs.shape == expected.shape and outputs.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("family", ["unrolled", "mlp"])
 def test_parameters_are_views_of_one_flat_vector(family):
     rng = np.random.default_rng(3)
@@ -597,7 +633,7 @@ def test_forward_only_calls_keep_no_per_position_activations():
     tracemalloc.start()
     try:
         trunk = model.trunk_batch(inputs)
-        outputs = model.forward_batch(inputs)
+        outputs = forward_batch(model.to_network(), inputs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -81,3 +81,14 @@ def test_every_private_definition_is_referenced(module):
         if name not in elsewhere | _used_names(MODULES[module], skip=node)
     ]
     assert unreferenced == []
+
+
+def test_forward_batch_is_defined_only_in_network():
+    """One inference path: a trained model exports itself to the IR instead of running its own forward."""
+    defined = [
+        module
+        for module, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "forward_batch"
+    ]
+    assert defined == ["network.py"]
