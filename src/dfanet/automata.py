@@ -237,12 +237,15 @@ def random_dfa(state_count: int, alphabet_size: int, seed) -> Dfa:
     )
 
 
+def _numbered_strings(numbers: np.ndarray | int, alphabet_size: int, length: int) -> np.ndarray:
+    """The strings of ``length`` numbered ``numbers`` in base k, first symbol most significant, as rows."""
+    powers = alphabet_size ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    return np.asarray(numbers, dtype=np.int64)[..., None] // powers % alphabet_size
+
+
 def all_strings(alphabet_size: int, length: int) -> np.ndarray:
     """All strings of exactly ``length``, lexicographically ordered, as rows."""
-    if length == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    grids = np.meshgrid(*([np.arange(alphabet_size)] * length), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
+    return _numbered_strings(np.arange(alphabet_size**length), alphabet_size, length)
 
 
 def all_strings_up_to(alphabet_size: int, max_length: int) -> list[tuple[int, ...]]:

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .automata import Dfa, _distinct_rows, accepts_batch, all_strings
+from .automata import Dfa, _distinct_rows, _numbered_strings, accepts_batch, all_strings
 from .encodings import binary_state_encoding, bits_for_state_count, encode_strings, one_hot_state_encoding
 from .encodings import transition_table
 from .network import LayerSpec, NetworkSpec, _beside_identity, _layer_step, _Step, forward_batch
@@ -288,23 +288,29 @@ def _mismatches(strings: np.ndarray, expected: np.ndarray, got: np.ndarray) -> l
     return [(tuple(string), want, have) for string, want, have in found]
 
 
+def _verdicts(outputs: np.ndarray) -> np.ndarray:
+    """Accept where an output exceeds 0.5: the one rule that reads a verdict off an acceptor's output."""
+    return outputs > 0.5
+
+
 def _compare_on_strings(net: NetworkSpec, dfa: Dfa, strings: np.ndarray) -> list[Mismatch]:
     # inf or nan weights, or an overflow, give inf or nan outputs; the verdict
     # compares them like any other value (nan reads as "reject"), so no warning
     with np.errstate(over="ignore", invalid="ignore"):
         outputs = forward_batch(net, encode_strings(strings, dfa.alphabet_size))
-    return _mismatches(strings, accepts_batch(dfa, strings), outputs[:, 0] > 0.5)
+    return _mismatches(strings, accepts_batch(dfa, strings), _verdicts(outputs[:, 0]))
 
 
 class _Walk(NamedTuple):
     """A network and its automaton over symbol strings, through their distinct (carrier, state) pairs.
 
-    Pairs are numbered per stage, where a stage is a layer that reads fresh
-    symbol blocks. ``tables[s][p, j]`` is the pair that pair ``p`` becomes once
-    stage ``s`` has read the ``blocks[s]`` symbols numbered ``j`` (base k, first
-    symbol most significant) and the layers up to the next stage have run. The
-    walk starts from pair 0, the start state; ``verdicts`` and ``accepted`` are
-    the final pairs' network and automaton verdicts.
+    Pairs are numbered per stage: plan steps from the first, or from one that
+    reads fresh symbol blocks, up to the next such. ``tables[s][p, j]`` is the
+    pair that pair ``p`` becomes once stage ``s`` has read the ``blocks[s]``
+    symbols numbered ``j`` (base k, first symbol most significant; a leading
+    stage reads none) and run its steps. The walk starts from pair 0, the start
+    state; ``verdicts`` and ``accepted`` are the final pairs' network and
+    automaton verdicts.
     """
 
     tables: list[np.ndarray]
@@ -324,31 +330,24 @@ def _distinct(carriers: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.
     return carriers[first], states[first], index
 
 
-def _stage_key(layers: tuple[LayerSpec, ...], steps: tuple[_Step, ...], seen: list[str]) -> tuple:
-    """Everything a walk stage's layers compute from besides its pairs, as comparable values.
+def _stage_key(steps: tuple[_Step, ...]) -> tuple:
+    """Everything a walk stage computes from besides its pairs, as comparable values.
 
-    That is each layer's activation, comparison mode, fresh columns and active
-    block, taken as bytes so that ``-0.0`` and nan compare as they compute, and
-    the two facts ``network._passed_through`` reads from ``seen``.
+    That is each step's fields, its arrays taken as shape and bytes so that
+    ``-0.0`` and nan compare as they compute.
     """
-    def raw(values):
-        return values if values is None or isinstance(values, float) else (values.shape, values.tobytes())
-
-    return (bool(seen), "relu" in seen) + tuple(
-        (layer.activation, layer.strict, step.fresh, raw(step.weights), raw(step.bias), raw(step.thresholds))
-        for layer, step in zip(layers, steps)
+    return tuple(
+        tuple((field.shape, field.tobytes()) if isinstance(field, np.ndarray) else field for field in step)
+        for step in steps
     )
 
 
-def _walk_layers(
-    layers: tuple[LayerSpec, ...], steps: tuple[_Step, ...], carriers: np.ndarray, fresh: np.ndarray, seen: list[str]
-) -> np.ndarray | None:
-    """``layers`` on ``carriers``, the first joined by ``fresh``; None if one would read a value that is not finite."""
-    for layer, step in zip(layers, steps):
+def _walk_layers(steps: tuple[_Step, ...], carriers: np.ndarray, fresh: np.ndarray) -> np.ndarray | None:
+    """``steps`` on ``carriers``, the first joined by ``fresh``; None if one would read a value that is not finite."""
+    for step in steps:
         if not np.isfinite(carriers).all():
             return None
-        carriers = _layer_step(layer, step, carriers, fresh, seen)
-        seen.append(layer.activation)
+        carriers = _layer_step(step, carriers, fresh)
     return carriers
 
 
@@ -361,7 +360,7 @@ def _walk(net: NetworkSpec, dfa: Dfa, limit: int) -> _Walk | None:
     it), or when one stage would hold more than ``limit`` pair-symbol rows.
     The last layer's inf or nan is a verdict.
 
-    Each distinct stage runs once. A stage whose layers compute what the
+    Each distinct stage runs once. A stage whose steps compute what the
     previous stage's did (``_stage_key``), from pairs that the previous stage
     left byte for byte as it found them, would compute the same table again, so
     it reuses that table. An unrolled acceptor's modules repeat once its
@@ -373,22 +372,17 @@ def _walk(net: NetworkSpec, dfa: Dfa, limit: int) -> _Walk | None:
     reads = [step.fresh for step in plan]
     if any(r % k for r in reads) or sum(reads) < net.input_dim:
         return None
-    starts = [i for i, r in enumerate(reads) if r]
+    starts = [0] + [i for i, r in enumerate(reads) if r and i]
     carriers, states = np.zeros((1, 0)), np.array([dfa.start_state])
-    tables, blocks, seen = [], [], []
+    tables, blocks = [], []
     repeat = None  # the last stage run: its key and table, if its pairs came out as they went in
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is judged, not warned about
-        head = starts[0] if starts else len(plan)
-        carriers = _walk_layers(net.layers[:head], plan[:head], carriers, carriers[:, :0], seen)
-        if carriers is None:
-            return None
         for lo, hi in zip(starts, starts[1:] + [len(plan)]):
-            layers, steps = net.layers[lo:hi], plan[lo:hi]
-            key, b = _stage_key(layers, steps, seen), steps[0].fresh // k
+            steps = plan[lo:hi]
+            key, b = _stage_key(steps), steps[0].fresh // k
             blocks.append(b)
             if repeat is not None and repeat[0] == key:
                 tables.append(repeat[1])
-                seen.extend(layer.activation for layer in layers)
                 continue
             if len(carriers) * k**b > limit:
                 return None
@@ -398,7 +392,7 @@ def _walk(net: NetworkSpec, dfa: Dfa, limit: int) -> _Walk | None:
             states = np.repeat(states, k**b)
             for column in symbols.T:
                 states = dfa.transitions[states, column]
-            carriers = _walk_layers(layers, steps, np.repeat(carriers, k**b, axis=0), fresh, seen)
+            carriers = _walk_layers(steps, np.repeat(carriers, k**b, axis=0), fresh)
             if carriers is None:
                 return None
             carriers, states, index = _distinct(carriers, states)
@@ -406,7 +400,7 @@ def _walk(net: NetworkSpec, dfa: Dfa, limit: int) -> _Walk | None:
             unchanged = (carriers.shape == before[0].shape and carriers.tobytes() == before[0].tobytes()
                          and np.array_equal(states, before[1]))
             repeat = (key, tables[-1]) if unchanged else None
-    return _Walk(tables, blocks, carriers[:, 0] > 0.5, dfa.accepting_mask[states])
+    return _Walk(tables, blocks, _verdicts(carriers[:, 0]), dfa.accepting_mask[states])
 
 
 def _final_pairs(walk: _Walk, strings: np.ndarray, k: int) -> np.ndarray:
@@ -426,13 +420,14 @@ def _tally(walk: _Walk, k: int) -> tuple[int, Mismatch]:
     ``walk`` has at least one such pair. The count pushes the number of strings
     that reach each pair forward through the tables, from one string at pair 0.
     The first string descends from pair 0 through the smallest symbol block
-    whose pair can still reach a bad final pair. Counts stay exact in int64
-    while k^T fits in it.
+    whose pair can still reach a bad final pair. Counts are int64 while k^T
+    fits in it, and Python ints beyond.
     """
     bad = walk.verdicts != walk.accepted
-    counts = np.ones(1, dtype=np.int64)
+    dtype = np.int64 if k ** sum(walk.blocks) <= np.iinfo(np.int64).max else object
+    counts = np.ones(1, dtype=dtype)
     for table, pairs in zip(walk.tables, [len(table) for table in walk.tables[1:]] + [len(bad)]):
-        reached = np.zeros(pairs, dtype=np.int64)
+        reached = np.zeros(pairs, dtype=dtype)
         np.add.at(reached, table, counts[:, None])
         counts = reached
     live = [bad]  # live[s]: the pairs of stage s that reach a bad final pair
@@ -442,7 +437,7 @@ def _tally(walk: _Walk, k: int) -> tuple[int, Mismatch]:
     for table, b, reaches in zip(walk.tables, walk.blocks, live[1:]):
         j = int(np.argmax(reaches[table[pair]]))
         pair = int(table[pair, j])
-        string += [j // k**i % k for i in range(b - 1, -1, -1)]
+        string += _numbered_strings(j, k, b).tolist()
     return int(counts[bad].sum()), (tuple(string), bool(walk.accepted[pair]), bool(walk.verdicts[pair]))
 
 
@@ -460,10 +455,13 @@ def _list_mismatches(
             f"{k}^{length} = {total} strings exceeds the enumeration budget {budget}; "
             "use sampled verification"
         )
-    powers = k ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    if total > np.iinfo(np.int64).max:
+        raise EnumerationBudgetError(
+            f"{k}^{length} = {total} strings cannot be numbered in 64 bits; use sampled verification"
+        )
     mismatches: list[Mismatch] = []
     for start in range(0, total, _CHUNK):
-        strings = (np.arange(start, min(start + _CHUNK, total), dtype=np.int64)[:, None] // powers) % k
+        strings = _numbered_strings(np.arange(start, min(start + _CHUNK, total)), k, length)
         if walk is None:
             mismatches.extend(_compare_on_strings(net, dfa, strings))
         else:
@@ -507,10 +505,10 @@ def verify_exact(
 
     ``budget`` limits only enumeration: the fallback refuses, and reading
     ``mismatches`` raises, when k^T exceeds it, while a network the walk
-    decides is judged, counted and given a witness at any length. Whatever the
-    budget, a network that is not exact is judged only while k^T fits in int64
-    (2^63 - 1 strings), which numbers them; use sampled verification beyond
-    either limit.
+    decides is judged, counted and given a witness at any length. Listing
+    numbers the strings in int64, so whatever the budget the fallback refuses,
+    and reading ``mismatches`` raises, beyond 2^63 - 1 strings; use sampled
+    verification beyond either limit.
     """
     _check_dims(net, dfa, length)
     k = dfa.alphabet_size
@@ -518,10 +516,6 @@ def verify_exact(
     walk = _walk(net, dfa, _CHUNK)
     if walk is not None and np.array_equal(walk.verdicts, walk.accepted):
         return VerificationReport(total, 0, None, tuple)
-    if total > np.iinfo(np.int64).max:
-        raise EnumerationBudgetError(
-            f"{k}^{length} = {total} strings cannot be numbered in 64 bits; use sampled verification"
-        )
     listing = partial(_list_mismatches, net, dfa, length, walk, budget)
     if walk is None:
         listed = listing()

@@ -37,6 +37,7 @@ from .automata import (
     run_batch,
 )
 from .compiler import (
+    _verdicts,
     build_binary_threshold_network,
     build_transition_layer,
     build_unrolled_acceptor,
@@ -254,8 +255,7 @@ def split_dataset(dataset: Dataset, train_fraction: float, seed) -> tuple[Datase
 
 
 def _binary_accuracy(outputs: np.ndarray, labels: np.ndarray) -> float:
-    predictions = np.floor(outputs + 0.5)
-    return float((predictions == labels).all(axis=1).mean())
+    return float((_verdicts(outputs) == labels).all(axis=1).mean())
 
 
 def _argmax_accuracy(outputs: np.ndarray, labels: np.ndarray) -> float:

@@ -5,13 +5,15 @@ tagged with an activation. Step layers carry a per-unit threshold and a
 comparison mode (``z >= theta`` by default, strict ``z > theta`` for the
 acceptance readout).
 
-The IR and its file format stay dense, but ``forward_batch`` multiplies only
-each layer's active block: the rows and columns outside the layer's trailing
-identity pass-through (the symbol blocks an unrolled acceptor has not read
-yet). Unread input columns join the computation at the layer that reads them,
-with the skipped layers' effect applied, so the output is the dense loop's: bit
-for bit wherever the sums are exact, as on every compiled network fed encoded
-strings (see ``forward_batch``).
+The IR and its file format stay dense, but what runs is a plan
+(``NetworkSpec._plan``) of one step per layer, holding all the layer computes;
+``forward_batch`` and ``compiler._walk`` read the plan alone. A step multiplies
+only its layer's active block: the rows and columns outside the layer's
+trailing identity pass-through (the symbol blocks an unrolled acceptor has not
+read yet). Unread input columns join the computation at the layer that reads
+them, with the skipped layers' effect applied, so the output is the dense
+loop's: bit for bit wherever the sums are exact, as on every compiled network
+fed encoded strings (see ``forward_batch``).
 
 The blocks stand for the whole layers while every value a layer reads is
 finite: each skipped zero weight then adds an exact zero, where zero times inf
@@ -147,17 +149,17 @@ class NetworkSpec:
 
     @cached_property
     def _plan(self) -> tuple[_Step, ...]:
-        """Each layer's active block, computed on first use.
+        """Each layer's step, computed on first use.
 
         A layer skips the part of its pass-through that carries input columns
-        no layer has read yet; the rest of the layer is its active block.
+        no layer has read yet; the rest of the layer is its active block. The
+        columns it reads first passed through every layer before it.
         """
-        steps = []
-        unread = self.input_dim
+        steps, unread, through = [], self.input_dim, None
         for layer in self.layers:
             skip = min(layer.passthrough_width, unread)
-            steps.append(_step(layer, layer.output_dim - skip, layer.input_dim - skip, unread - skip))
-            unread = skip
+            steps.append(_step(layer, layer.output_dim - skip, layer.input_dim - skip, unread - skip, through))
+            unread, through = skip, "relu" if "relu" in (through, layer.activation) else "identity"
         return tuple(steps)
 
     @cached_property
@@ -165,27 +167,30 @@ class NetworkSpec:
         """Every layer whole: the first reads all inputs, the rest none."""
         reads = [self.input_dim] + [0] * (len(self.layers) - 1)
         return tuple(
-            _step(layer, layer.output_dim, layer.input_dim, fresh)
+            _step(layer, layer.output_dim, layer.input_dim, fresh, None)
             for layer, fresh in zip(self.layers, reads)
         )
 
 
 class _Step(NamedTuple):
-    """One layer of a forward plan: its active block and the input columns it reads first."""
+    """One layer of a forward plan: all it computes, and the ``fresh`` input columns it reads first."""
 
     weights: np.ndarray
     bias: np.ndarray | float
+    activation: str
     thresholds: np.ndarray | None
+    strict: bool
     fresh: int
+    through: str | None  # the rows the fresh columns passed on the way: None, "identity" or "relu"
 
 
-def _step(layer: LayerSpec, rows: int, cols: int, fresh: int) -> _Step:
+def _step(layer: LayerSpec, rows: int, cols: int, fresh: int, through: str | None) -> _Step:
     whole = rows == layer.output_dim and cols == layer.input_dim
     weights = layer.weights if whole else np.ascontiguousarray(layer.weights[:rows, :cols])
     thresholds = None if layer.thresholds is None else layer.thresholds[:rows]
     # adding the scalar 0.0 is the same elementwise sum as adding a vector of 0.0, and faster
     bias = 0.0 if not layer.bias.any() and not np.signbit(layer.bias).any() else layer.bias[:rows]
-    return _Step(weights, bias, thresholds, fresh)
+    return _Step(weights, bias, layer.activation, thresholds, layer.strict, fresh, through)
 
 
 def apply_activation(
@@ -210,47 +215,46 @@ def apply_activation(
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _passed_through(columns: np.ndarray, activations: list[str]) -> np.ndarray:
-    """``columns`` after the identity rows of layers with ``activations``.
+def _passed_through(columns: np.ndarray, through: str | None) -> np.ndarray:
+    """``columns`` after the identity rows they passed ``through``.
 
     Each such row computes ``act(x * 1 + 0)``: the ``+ 0.0`` turns ``-0.0``
     into ``0.0``, and relu is idempotent, so one of each is the composition.
     """
-    if not activations:
+    if through is None:
         return columns
     columns = columns + 0.0
-    if "relu" in activations:
+    if through == "relu":
         np.maximum(columns, 0.0, out=columns)
     return columns
 
 
-def _layer_step(layer: LayerSpec, step: _Step, a: np.ndarray, fresh: np.ndarray, seen: list[str]) -> np.ndarray:
-    """``layer``'s active block on ``a`` joined by the ``step.fresh`` columns of ``fresh``.
+def _layer_step(step: _Step, a: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """``step``'s active block on ``a`` joined by the ``step.fresh`` columns of ``fresh``.
 
-    ``fresh`` holds the input columns the layer reads first, as they entered the
-    network; ``seen`` names the activations of the layers they passed through.
+    ``fresh`` holds the input columns the step reads first, as they entered the network.
     """
     if step.fresh:
-        fresh = _passed_through(fresh, seen)
+        fresh = _passed_through(fresh, step.through)
         a = np.concatenate([a, fresh], axis=1) if a.shape[1] else fresh
     z = a @ step.weights.T
     z += step.bias
-    if layer.activation == "relu":  # z is this step's own, so relu may overwrite it
+    if step.activation == "relu":  # z is this step's own, so relu may overwrite it
         return np.maximum(z, 0.0, out=z)
-    return apply_activation(layer.activation, z, step.thresholds, layer.strict)
+    return apply_activation(step.activation, z, step.thresholds, step.strict)
 
 
-def _run(net: NetworkSpec, plan: tuple[_Step, ...], x: np.ndarray, judged: bool) -> np.ndarray | None:
-    """``plan`` on ``x``; None if ``judged`` and a layer would read a value that is not finite."""
-    a, read, seen = x[:, :0], 0, []
-    for layer, step in zip(net.layers, plan):
+def _run(plan: tuple[_Step, ...], x: np.ndarray, judged: bool) -> np.ndarray | None:
+    """``plan`` on ``x``; None if ``judged`` and a step would read a value that is not finite."""
+    a, read = x[:, :0], 0
+    for step in plan:
         if judged and not np.isfinite(a).all():
             return None
-        a = _layer_step(layer, step, a, x[:, read:read + step.fresh], seen)
+        a = _layer_step(step, a, x[:, read:read + step.fresh])
         read += step.fresh
-        seen.append(layer.activation)
-    if read < x.shape[1]:
-        a = np.concatenate([a, _passed_through(x[:, read:], seen)], axis=1)
+    if read < x.shape[1]:  # every layer passed these columns through
+        through = "relu" if any(step.activation == "relu" for step in plan) else "identity"
+        a = np.concatenate([a, _passed_through(x[:, read:], through)], axis=1)
     return a
 
 
@@ -274,10 +278,10 @@ def forward_batch(net: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
             f"input dimension mismatch: network expects {net.input_dim}, got {x.shape[1]}"
         )
     if np.isfinite(x).all():
-        a = _run(net, net._plan, x, judged=True)
+        a = _run(net._plan, x, judged=True)
         if a is not None:
             return a
-    return _run(net, net._dense_plan, x, judged=False)
+    return _run(net._dense_plan, x, judged=False)
 
 
 def forward(net: NetworkSpec, x: np.ndarray) -> np.ndarray:

@@ -308,11 +308,6 @@ class UnrolledNet(_FlatModel):
         gives this model's outputs on inputs with no negative entry, as every
         encoded string is (identity rows of a ReLU layer clip the columns they
         carry); ``verify_exact`` and the file format take it like a compiled network.
-
-        ``verify_exact``'s verdict is column 0 > 0.5, while the experiments'
-        binary accuracy rounds 0.5 up. An untrained sigmoid acceptor's zeroed
-        last head layer outputs 0.5 exactly, so it verifies as rejecting every
-        string and scores as accepting every one.
         """
         n, k, length = self.state_dim, self.alphabet_size, self.length
         layers = [_beside_identity(np.zeros((n, 0)), self.initial_state, length * k, "identity")]

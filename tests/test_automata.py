@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from dfanet.automata import (
     Dfa,
+    _numbered_strings,
     accepts,
     accepts_batch,
     all_strings,
@@ -238,3 +241,13 @@ def test_all_strings_lexicographic():
     assert rows[0].tolist() == [0, 0, 0]
     assert rows[-1].tolist() == [1, 1, 1]
     assert all_strings(3, 0).shape == (1, 0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_all_strings_are_the_strings_numbered_in_base_k(k):
+    for length in range(7):
+        expected = np.array(list(itertools.product(range(k), repeat=length)), dtype=np.int64).reshape(k**length, length)
+        rows = all_strings(k, length)
+        assert rows.dtype == np.int64 and rows.flags.c_contiguous and rows.tobytes() == expected.tobytes()
+        for number in (0, len(expected) // 2, len(expected) - 1):  # one number gives one string
+            assert _numbered_strings(number, k, length).tolist() == expected[number].tolist()

@@ -330,6 +330,13 @@ def flipped_readout(net, state):
     return with_layer(net, -1, weights=weights)
 
 
+def behind_pass_layers(net):
+    """``net`` behind an identity and a relu layer that pass every input through, so its plan starts reading nothing."""
+    width = net.input_dim
+    passes = [LayerSpec(weights=np.eye(width), bias=np.zeros(width), activation=act) for act in ("identity", "relu")]
+    return NetworkSpec((*passes, *net.layers), width, net.output_dim, dict(net.metadata))
+
+
 def corrupted_weight(net, draw):
     """One hidden or readout weight (or, with no weights, a bias) moved by +-1 or +0.5."""
     index = draw(st.sampled_from([i for i, layer in enumerate(net.layers) if layer.weights.size] or [0]))
@@ -350,6 +357,7 @@ def test_verify_exact_matches_enumeration(dfa, length, data):
         acceptor,
         build_embedding_head(dfa, length),
         flipped_readout(acceptor, data.draw(st.integers(0, n - 1))),
+        behind_pass_layers(flipped_readout(acceptor, data.draw(st.integers(0, n - 1)))),
         corrupted_weight(acceptor, data.draw),
         corrupted_weight(build_embedding_head(dfa, length), data.draw),
     ]
@@ -467,8 +475,11 @@ def trained_export(dfa, length, samples, epochs, seed):
 @pytest.mark.parametrize(
     "dfa, length, samples, epochs, exact",
     [(make_parity_dfa(), 6, 800, 200, True), (make_parity_dfa(), 6, 200, 60, False),
-     (make_mod_counter_dfa(3), 8, 200, 60, False)],
-    ids=["parity-T6-exact", "parity-T6", "mod3-T8"],
+     (make_mod_counter_dfa(3), 8, 200, 60, False), (make_parity_dfa(), 0, 50, 60, True),
+     (make_parity_dfa(), 0, 20, 0, False), (make_mod_counter_dfa(3), 1, 100, 60, True),
+     (make_mod_counter_dfa(3), 1, 20, 0, False)],
+    ids=["parity-T6-exact", "parity-T6", "mod3-T8", "parity-T0-exact", "parity-T0-untrained", "mod3-T1-exact",
+         "mod3-T1-untrained"],
 )
 def test_verify_exact_walks_a_trained_export(dfa, length, samples, epochs, exact, monkeypatch):
     net = trained_export(dfa, length, samples, epochs, seed=0)
@@ -572,9 +583,9 @@ def test_report_is_exact_when_it_counts_no_mismatch(parity):
 def counting_layer_steps(monkeypatch):
     calls = []
 
-    def counted(layer, step, *args):
-        calls.append(layer)
-        return _layer_step(layer, step, *args)
+    def counted(step, *args):
+        calls.append(step)
+        return _layer_step(step, *args)
 
     monkeypatch.setattr(dfanet.compiler, "_layer_step", counted)
     return calls
@@ -663,6 +674,19 @@ def test_verify_exact_refuses_to_number_more_strings_than_int64_holds(parity, mo
         verify_exact(half_block_net(parity, 64), parity, 64, budget=2**70)
     report = verify_exact(build_unrolled_acceptor(parity, 64), parity, 64, budget=2**70)
     assert report.exact and report.total_strings == 2**64
+
+
+@pytest.mark.parametrize("length", [63, 64, 200])
+def test_verify_exact_counts_a_walked_net_past_int64(parity, length, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("verify_exact enumerated more strings than int64 holds")
+
+    monkeypatch.setattr(dfanet.compiler, "forward_batch", refuse)
+    report = verify_exact(flipped_readout(build_unrolled_acceptor(parity, length), 1), parity, length)
+    assert type(report.mismatch_count) is int and report.mismatch_count == 2 ** (length - 1)  # the odd strings
+    assert report.witness == ((0,) * (length - 1) + (1,), False, True) and len(report.witness[0]) == length
+    with pytest.raises(EnumerationBudgetError):
+        report.mismatches
 
 
 # Reference constructions: the transition layers built entry by entry, one

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import dfanet.experiments
-from dfanet.automata import make_mod_counter_dfa, make_parity_dfa
-from dfanet.encodings import decode_string
+from dfanet.automata import accepts_batch, all_strings, make_mod_counter_dfa, make_parity_dfa
+from dfanet.compiler import verify_exact
+from dfanet.encodings import decode_string, encode_strings
 from dfanet.experiments import (
     CHANCE_BAND,
     gen_anbn_dataset,
@@ -17,10 +18,13 @@ from dfanet.experiments import (
     run_theorem2,
     split_dataset,
     summarize,
+    _binary_accuracy,
     _centroid_distance,
     _class_distances,
     _map_jobs,
 )
+from dfanet.network import forward_batch
+from dfanet.nn import UnrolledNet
 
 
 def test_gen_dfa_dataset_label_mean_near_half():
@@ -216,3 +220,14 @@ def test_run_corollary31_composite_structure():
     assert report.extras["verdict"] in ("PASS", "FAIL")
     lo, hi = CHANCE_BAND
     assert report.extras["negative_result_pass"] == (lo <= report.extras["held_out_mean"] <= hi)
+
+
+def test_binary_accuracy_reads_the_verdict_verify_exact_reads():
+    """An untrained acceptor's zeroed last head layer outputs 0.5 exactly: both read it as "reject"."""
+    dfa = make_mod_counter_dfa(3)
+    net = UnrolledNet(4, 2, 4, 0, [1], ["sigmoid"], seed=0, hidden_width=8).to_network()
+    strings = all_strings(2, 4)
+    outputs = forward_batch(net, encode_strings(strings, 2))
+    assert np.all(outputs == 0.5)
+    accuracy = _binary_accuracy(outputs, accepts_batch(dfa, strings)[:, None].astype(float))
+    assert accuracy == 1 - verify_exact(net, dfa, 4).mismatch_count / 16 == 0.6875

@@ -1,9 +1,9 @@
 """Source hygiene of ``src/dfanet``, read with ``ast`` alone.
 
-Every imported name is used in the module that imports it, and every
-module-level private name (``_helper``) is referenced somewhere in the package
-outside its own definition. A deletion that leaves an import or a helper behind
-fails here.
+Every imported name is used in the module that imports it, every module-level
+private name (``_helper``) is referenced somewhere in the package outside its
+own definition, and every function reads each of its parameters. A deletion
+that leaves an import, a helper or a parameter behind fails here.
 """
 
 import ast
@@ -92,3 +92,25 @@ def test_forward_batch_is_defined_only_in_network():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "forward_batch"
     ]
     assert defined == ["network.py"]
+
+
+def _unread_parameters(tree: ast.Module) -> list[str]:
+    """``function(parameter)`` for every parameter, ``self`` and ``cls`` aside, that its function's body never reads."""
+    unread = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            declared = (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+            body = node.body if isinstance(node.body, list) else [node.body]
+            names = [n for part in body for n in ast.walk(part) if isinstance(n, ast.Name)]
+            read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+            parameters = [a.arg for a in declared if a]
+            name = getattr(node, "name", "lambda")
+            unread += [f"{name}({p})" for p in parameters if p not in read and p not in ("self", "cls")]
+    return unread
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_function_reads_each_of_its_parameters(module):
+    """A parameter left behind by a refactor, such as one that no longer feeds the body, fails here."""
+    assert _unread_parameters(MODULES[module]) == []
