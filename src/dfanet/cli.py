@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success (verification exact, experiment bands met), 1 when a
 verification finds mismatches or a banded experiment fails its band, 2 for
-usage and parse errors and for files that cannot be written. Every command is
-deterministic given its flags.
+usage and parse errors, for files that cannot be written and for sizes too
+large to allocate. Every command is deterministic given its flags.
 """
 
 from __future__ import annotations
@@ -261,7 +261,8 @@ def main(argv=None) -> int:
     except ProjectionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MISMATCH_ERROR
-    except (ValueError, OSError) as exc:  # ValueError also covers DocumentError and EnumerationBudgetError
+    # ValueError also covers DocumentError and EnumerationBudgetError; MemoryError is a size too large to allocate
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -105,9 +105,10 @@ def _carrier_stages(dfa: Dfa, length: int) -> list[LayerSpec]:
     """
     n, k = dfa.state_count, dfa.alphabet_size
     pairs, successors = transition_table(dfa, one_hot_state_encoding(n))
-    hidden = [(pairs[:, n:], pairs[:, dfa.start_state] - 1.0)] + [(pairs, np.full(n * k, -1.0))] * (length - 1)
+    first, later = (pairs[:, n:], pairs[:, dfa.start_state] - 1.0), (pairs, np.full(n * k, -1.0))
     stages = []
-    for t, (block, bias) in enumerate(hidden):
+    for t in range(length):
+        block, bias = later if t else first
         tail = (length - t - 1) * k
         stages.append(_beside_identity(block, bias, tail, "relu"))
         stages.append(_beside_identity(successors.T, np.zeros(n), tail, "identity"))

@@ -5,13 +5,22 @@ documents reparse to the same named automaton, and network documents carry
 weights as full-precision decimal (shortest round-trip repr), so a reloaded
 network evaluates bit-identically.
 
-Network documents are T^2-sized text for a T-step acceptor, so both sides work
-a block at a time. The writer renders each distinct value of a layer once and
-joins its rows from those strings. The reader drops blank and comment lines
-once, then reads each weights block in one ``np.loadtxt`` call. Only when that
-call refuses the block does it re-read the rows one by one with ``float()``:
-that loop names the bad line, and it accepts exactly what ``float()`` accepts,
-``1_0`` and non-ASCII digits included.
+Network documents are T^2-sized text for a T-step acceptor, and most of it is
+the identity beside each layer's block that passes the unread symbol blocks
+through. So both sides work a block at a time, and a tail at a time:
+
+- The writer renders each distinct value of a layer once and joins its rows
+  from those strings. A layer that knows the identity it was built beside
+  (``network._beside_identity``) renders only its block that way; the zeros
+  after each block row and the identity rows below are copied from one
+  string (``_identity_text``). The bytes are those of the dense rendering.
+- The reader takes lines as it needs them, skipping blank and comment lines.
+  A weights block that ends in that canonical identity text has only its
+  active prefix tokenized, and its layer is rebuilt beside the identity.
+  Every other block is read in one ``np.loadtxt`` call. Only when that call
+  refuses the block does it re-read the rows one by one with ``float()``:
+  that loop names the bad line, and it accepts exactly what ``float()``
+  accepts, ``1_0`` and non-ASCII digits included.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automata import Dfa
-from .network import LayerSpec, NetworkSpec
+from .network import LayerSpec, NetworkSpec, _beside_identity
 
 NETWORK_FORMAT_HEADER = "dfanet-network-v1"
 
@@ -203,11 +212,32 @@ def _format_rows(values: np.ndarray) -> list[str]:
     return list(map(" ".join, reprs[np.searchsorted(distinct, bits)].tolist()))
 
 
+def _identity_text(width: int) -> str:
+    """Every identity row of a ``width``-column layer, overlapping: the row with
+    ``m`` zeros after its ``1.0`` is the ``4 * width - 1`` characters from ``4 * m``."""
+    return "0.0 " * (width - 1) + "1.0" + " 0.0" * (width - 1)
+
+
+def _weight_rows(layer: LayerSpec) -> list[str]:
+    """The rows of ``layer.weights``; a known identity tail is copied as text, not rendered."""
+    tail = layer._tail
+    if not tail:
+        return _format_rows(layer.weights)
+    rows, cols = layer.output_dim - tail, layer.input_dim - tail
+    zeros = " 0.0" * tail
+    block = [row + zeros for row in _format_rows(layer.weights[:rows, :cols])] if cols else [zeros[1:]] * rows
+    identity, width = _identity_text(layer.input_dim), 4 * layer.input_dim - 1
+    return block + [identity[4 * m:4 * m + width] for m in range(tail - 1, -1, -1)]
+
+
 def format_network_document(net: NetworkSpec) -> str:
     """Versioned text rendering with full-precision decimal weights.
 
     Every value is written as its shortest round-trip ``repr``. Each layer's
     distinct values are rendered once and its rows joined from those strings.
+    A layer built beside an identity has only its block rendered; its
+    identity rows, and the zeros that end the rows above them, are copied
+    from one string. The bytes are the dense rendering's either way.
     """
     lines = [NETWORK_FORMAT_HEADER]
     for key in sorted(net.metadata):
@@ -224,35 +254,31 @@ def format_network_document(net: NetworkSpec) -> str:
         lines.append(f"shape {layer.output_dim} {layer.input_dim}")
         lines.append("weights")
         if layer.input_dim:
-            lines.extend(_format_rows(layer.weights))
+            lines.extend(_weight_rows(layer))
         lines.append("bias " + _format_rows(layer.bias[None])[0])
     return "\n".join(lines) + "\n"
 
 
 class _LineReader:
-    """The document's lines that are neither blank nor comments, stripped.
+    """The document's lines, taken one at a time as the parser asks for them.
 
-    Each keeps its 1-based line number for errors, and the raw line count
-    names the end of the document.
+    Blank and comment lines are skipped, and a line is stripped only when it
+    is read. Each line keeps its 1-based number for errors, and the raw line
+    count names the end of the document.
     """
 
     def __init__(self, text: str):
-        lines = text.splitlines()
-        self.line_count = len(lines)
-        stripped = ((line.strip(), number) for number, line in enumerate(lines, start=1))
-        self.entries = [(line, number) for line, number in stripped if line and not line.startswith("#")]
-        self.pos = 0
+        self.lines = text.splitlines()
+        self.line = 0  # the 1-based number of the last line read, so the index of the next
 
     def next(self) -> tuple[str, int]:
-        if self.pos == len(self.entries):
-            raise DocumentError("unexpected end of document", self.line_count or 1)
-        self.pos += 1
-        return self.entries[self.pos - 1]
-
-    @property
-    def line(self) -> int:
-        """The number of the last line read."""
-        return self.entries[self.pos - 1][1]
+        lines = self.lines
+        while self.line < len(lines):
+            line = lines[self.line].strip()
+            self.line += 1
+            if line and not line.startswith("#"):
+                return line, self.line
+        raise DocumentError("unexpected end of document", len(lines) or 1)
 
     def expect(self, keyword: str) -> tuple[list[str], int]:
         line, lineno = self.next()
@@ -273,17 +299,63 @@ class _LineReader:
         """
         if not (out_dim and in_dim):
             return None
-        rows = [line for line, _ in self.entries[self.pos:self.pos + out_dim]]
-        if len(rows) < out_dim:
-            return None
+        start = self.line
         try:
-            block = np.loadtxt(rows, ndmin=2, comments=None)
-        except ValueError:
-            return None
-        if block.shape != (out_dim, in_dim):
-            return None
-        self.pos += out_dim
+            block = _load_rows([self.next()[0] for _ in range(out_dim)], out_dim, in_dim)
+        except DocumentError:  # the document ends inside the block
+            block = None
+        if block is None:
+            self.line = start
         return block
+
+    def read_tail(self, out_dim: int, in_dim: int) -> tuple[np.ndarray, int] | None:
+        """The next ``out_dim`` raw lines as a block beside a ``tail``-wide identity, or None.
+
+        The tail is the longest run of canonical identity rows (``_identity_text``)
+        that ends the block and leaves every row above ending in ``tail``
+        entries ``" 0.0"``; only the rest of those rows is tokenized, in one
+        ``np.loadtxt`` call. Whole rows are compared, so a comment or a row
+        with more text never counts as an identity row. On None (no such
+        tail, a blank or comment line among the rows, or a prefix ``loadtxt``
+        refuses) the caller reads the block as any other, so what this
+        accepts is what that reads, bit for bit.
+        """
+        rows = self.lines[self.line:self.line + out_dim]
+        width = 4 * in_dim - 1
+        # a last row of that length also bounds the identity text by the document's size
+        if not (out_dim and in_dim) or len(rows) < out_dim or len(rows[-1]) != width:
+            return None
+        identity, tail, most = _identity_text(in_dim), 0, min(out_dim, in_dim)
+        while tail < most and len(rows[-1 - tail]) == width and identity.startswith(rows[-1 - tail], 4 * tail):
+            tail += 1
+        zeros = " 0.0" * tail
+        for row in rows[:out_dim - tail]:
+            if row[:1].isspace():  # its prefix could be blank, and loadtxt skips blank lines
+                return None
+            # the rows above the tail end in its zeros; a block of no columns is those zeros alone
+            while tail and not (row.endswith(zeros) if tail < in_dim else row == zeros[1:]):
+                tail -= 1
+                zeros = zeros[4:]
+        if not tail:
+            return None
+        prefixes = [row[:-4 * tail] for row in rows[:out_dim - tail]]
+        if tail < in_dim and prefixes:
+            block = _load_rows(prefixes, out_dim - tail, in_dim - tail)
+            if block is None:
+                return None
+        else:
+            block = np.zeros((out_dim - tail, in_dim - tail))
+        self.line += out_dim
+        return block, tail
+
+
+def _load_rows(rows: list[str], out_dim: int, in_dim: int) -> np.ndarray | None:
+    """``rows`` as one (out_dim, in_dim) matrix by one ``np.loadtxt`` call, or None if it refuses them."""
+    try:
+        block = np.loadtxt(rows, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    return block if block.shape == (out_dim, in_dim) else None
 
 
 def _parse_meta_value(token: str):
@@ -301,7 +373,11 @@ def parse_network_document(text: str) -> NetworkSpec:
     """Parse the versioned network format emitted by format_network_document.
 
     Blank lines and lines starting with ``#`` are skipped anywhere. A value is
-    any literal ``float()`` accepts, and rows split on whitespace. A weights
+    any literal ``float()`` accepts, and rows split on whitespace. When the
+    weights block of a layer other than a step layer ends in the writer's
+    identity text, only its block is tokenized, and the layer is rebuilt
+    beside that identity: it keeps the tail it was written with, or a wider
+    one where the block's last rows and columns extend it. Any other weights
     block is read in one call; if that refuses it, the rows are read one at a
     time, and the first bad one is named by its line.
     """
@@ -370,8 +446,9 @@ def parse_network_document(text: str) -> NetworkSpec:
             thresholds = parse_floats(threshold_tokens, out_dim, threshold_line)
         reader.expect("weights")
         # rows come only from lines present, never from the declared shape alone
-        weights = reader.read_block(out_dim, in_dim)
-        if weights is None:
+        beside = None if activation == "step" else reader.read_tail(out_dim, in_dim)
+        weights = None if beside else reader.read_block(out_dim, in_dim)
+        if weights is None and beside is None:
             rows = []
             if in_dim:
                 for _ in range(out_dim):
@@ -381,15 +458,24 @@ def parse_network_document(text: str) -> NetworkSpec:
         bias_tokens, at = reader.expect("bias")
         bias = parse_floats(bias_tokens, out_dim, at)
         try:
-            layers.append(
-                LayerSpec(
-                    weights=weights,
-                    bias=bias,
-                    activation=activation,
-                    thresholds=thresholds,
-                    strict=strict,
+            if beside:
+                # the identity's rows need a +0.0 bias; rows above the bias's zeros rejoin the block
+                block, tail = beside
+                bits = bias[out_dim - tail:].view(np.int64)  # +0.0 alone has no bit set
+                keep = tail - int(np.flatnonzero(bits)[-1]) - 1 if bits.any() else tail
+                if keep < tail:
+                    block = _beside_identity(block, np.zeros(len(block)), tail - keep, "identity").weights
+                layers.append(_beside_identity(block, bias[:out_dim - keep], keep, activation))
+            else:
+                layers.append(
+                    LayerSpec(
+                        weights=weights,
+                        bias=bias,
+                        activation=activation,
+                        thresholds=thresholds,
+                        strict=strict,
+                    )
                 )
-            )
         except ValueError as exc:
             raise DocumentError(f"layer {idx}: {exc}", layer_line) from None
 

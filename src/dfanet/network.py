@@ -15,6 +15,11 @@ them, with the skipped layers' effect applied, so the output is the dense
 loop's: bit for bit wherever the sums are exact, as on every compiled network
 fed encoded strings (see ``forward_batch``).
 
+A layer built by ``_beside_identity`` keeps the width of the identity it was
+built beside (its ``_tail``), so finding its pass-through scans only the block
+(see ``LayerSpec.passthrough_width``), and the file format writes and reads
+that identity as text.
+
 The blocks stand for the whole layers while every value a layer reads is
 finite: each skipped zero weight then adds an exact zero, where zero times inf
 is nan. ``forward_batch`` and ``compiler._walk`` judge that one rule on the
@@ -46,6 +51,8 @@ class LayerSpec:
     activation: str
     thresholds: np.ndarray | None = None
     strict: bool = False
+    # width of the identity ``_beside_identity`` built the layer beside; 0 when not known
+    _tail: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         weights = np.array(self.weights, dtype=float)
@@ -88,30 +95,48 @@ class LayerSpec:
         share is the identity, no other entry of those rows or columns is
         nonzero, and their bias is zero. Only ``relu`` and ``identity`` layers
         pass values through; every other activation has width 0.
+
+        The identity a layer was built beside (``_tail``) passes through by
+        construction, so only the block beside it is scanned, and the scan
+        stops at once unless the block's last row may extend the identity. A
+        layer of unknown tail is scanned whole.
         """
         if self.activation not in ("relu", "identity"):
             return 0
-        w = self.weights
-        rows, cols = w.shape
-        k = min(rows, cols)
-        nonzero = w != 0
-        copies = (  # entry i: row rows-k+i copies input cols-k+i and nothing else does
-            (np.diagonal(w[rows - k:, cols - k:]) == 1.0)
-            & (nonzero[rows - k:].sum(axis=1) == 1)
-            & (nonzero[:, cols - k:].sum(axis=0) == 1)
-            & (self.bias[rows - k:] == 0.0)
-        )
-        broken = np.flatnonzero(~copies)
-        return k - (int(broken[-1]) + 1 if broken.size else 0)
+        rows, cols = self.output_dim - self._tail, self.input_dim - self._tail
+        return self._tail + _identity_width(self.weights[:rows, :cols], self.bias[:rows])
+
+
+def _identity_width(weights: np.ndarray, bias: np.ndarray) -> int:
+    """Width of the identity pass-through that ends ``weights`` and ``bias`` (see ``passthrough_width``)."""
+    rows, cols = weights.shape
+    k = min(rows, cols)
+    if not k or weights[-1, -1] != 1.0 or bias[-1] != 0.0:
+        return 0
+    nonzero = weights != 0
+    copies = (  # entry i: row rows-k+i copies input cols-k+i and nothing else does
+        (np.diagonal(weights[rows - k:, cols - k:]) == 1.0)
+        & (nonzero[rows - k:].sum(axis=1) == 1)
+        & (nonzero[:, cols - k:].sum(axis=0) == 1)
+        & (bias[rows - k:] == 0.0)
+    )
+    broken = np.flatnonzero(~copies)
+    return k - (int(broken[-1]) + 1 if broken.size else 0)
 
 
 def _beside_identity(block: np.ndarray, bias: np.ndarray, tail: int, activation: str) -> LayerSpec:
-    """``block`` and its ``bias`` beside a ``tail``-wide identity passing the last inputs through."""
+    """``block`` and its ``bias`` beside a ``tail``-wide identity passing the last inputs through.
+
+    The layer keeps ``tail`` (``LayerSpec._tail``), so neither the plan nor
+    the file format has to find the identity again.
+    """
     rows, cols = block.shape
     weights = np.zeros((rows + tail, cols + tail))
     weights[:rows, :cols] = block
     np.fill_diagonal(weights[rows:, cols:], 1.0)
-    return LayerSpec(weights=weights, bias=np.concatenate([bias, np.zeros(tail)]), activation=activation)
+    layer = LayerSpec(weights=weights, bias=np.concatenate([bias, np.zeros(tail)]), activation=activation)
+    object.__setattr__(layer, "_tail", tail)
+    return layer
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from dfanet.automata import Dfa
 from dfanet.compiler import build_unrolled_acceptor
+from dfanet.network import _beside_identity
 
 
 def plain_fold(dfa: Dfa, string) -> int:
@@ -93,6 +94,34 @@ def dfas(draw, max_states: int = 8, max_symbols: int = 3) -> Dfa:
     start = draw(st.integers(0, n - 1))
     return Dfa(state_count=n, alphabet_size=k, transitions=table,
                start_state=start, accepting=accepting)
+
+
+# entries on the pass-through rules' edges: both zeros, the identity's 1.0, other values, non-finite ones
+TAIL_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def tailed_layers(draw, cols=None, tail=None):
+    """A layer ``_beside_identity`` builds from a drawn block, bias, tail and activation.
+
+    The block may have no rows or no columns. Its last rows and columns may
+    form an identity of their own with a zero bias, which extends the tail,
+    and one drawn entry may then break that identity again.
+    """
+    rows = draw(st.integers(0, 4))
+    cols = draw(st.integers(0, 4)) if cols is None else cols
+    tail = draw(st.integers(0, 4)) if tail is None else tail
+    block = np.array(draw(st.lists(TAIL_VALUES, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+    bias = np.array(draw(st.lists(TAIL_VALUES, min_size=rows, max_size=rows)))
+    extend = draw(st.integers(0, min(rows, cols)))
+    if extend:
+        block[rows - extend:] = 0.0
+        block[:, cols - extend:] = 0.0
+        np.fill_diagonal(block[rows - extend:, cols - extend:], 1.0)
+        bias[rows - extend:] = draw(st.sampled_from([0.0, -0.0]))
+        if draw(st.booleans()):
+            block[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] = draw(TAIL_VALUES)
+    return _beside_identity(block, bias, tail, draw(st.sampled_from(["relu", "identity", "sigmoid"])))
 
 
 @pytest.fixture

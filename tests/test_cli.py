@@ -260,6 +260,22 @@ def test_failed_write_exits_two_naming_the_path(tmp_path, parity_file, capsys, a
     assert out in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    # 284 PiB of weights and 213 PiB of sampled strings: beyond any address space, so refused at once
+    ["compile", "{dfa}", "--target", "unrolled", "--length", str(10**8), "-o", "{out}"],
+    ["verify", "{net}", "{dfa}", "--length", "3", "--sampled", str(10**16)],
+], ids=["compile", "verify"])
+def test_a_size_too_large_to_allocate_exits_two(tmp_path, parity_file, capsys, argv):
+    net = tmp_path / "parity3.net"
+    assert main(["compile", str(parity_file), "--target", "unrolled", "--length", "3", "-o", str(net)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "huge.net"
+    assert main([arg.format(dfa=parity_file, net=net, out=out) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "allocate" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_export_dot_roundtrip(tmp_path, parity_file, capsys):
     assert main(["export-dot", str(parity_file)]) == 0
     first = capsys.readouterr().out

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tailed_layers
+from test_network import reference_passthrough_width
 from dfanet.automata import make_mod_counter_dfa, make_parity_dfa, random_dfa
 from dfanet.compiler import (
     build_binary_threshold_network,
@@ -258,6 +262,85 @@ def test_network_writer_matches_per_value_repr(net):
         assert (a.activation, a.strict) == (b.activation, b.strict)
         assert same_bits(a.weights, b.weights) and same_bits(a.bias, b.bias)
         assert (a.thresholds is None and b.thresholds is None) or same_bits(a.thresholds, b.thresholds)
+
+
+@st.composite
+def tailed_networks(draw):
+    """A chain of layers ``_beside_identity`` built, each beside its own drawn tail."""
+    width, layers = draw(st.integers(0, 6)), []
+    for _ in range(draw(st.integers(1, 3))):
+        tail = draw(st.integers(0, width))
+        layers.append(draw(tailed_layers(cols=width - tail, tail=tail)))
+        width = layers[-1].output_dim
+    return NetworkSpec(layers=tuple(layers), input_dim=layers[0].input_dim, output_dim=width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tailed_networks())
+def test_a_known_tail_is_written_as_the_dense_rendering(net):
+    plain = dataclasses.replace(net, layers=tuple(dataclasses.replace(layer) for layer in net.layers))
+    assert not any(layer._tail for layer in plain.layers)
+    assert format_network_document(net) == format_network_document(plain) == reference_network_document(net)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tailed_networks())
+def test_a_written_tail_is_read_back_beside_its_identity(net):
+    loaded = parse_network_document(format_network_document(net))
+    for a, b in zip(loaded.layers, net.layers, strict=True):
+        assert a.activation == b.activation
+        assert same_bits(a.weights, b.weights) and same_bits(a.bias, b.bias)
+        assert a.passthrough_width == b.passthrough_width == reference_passthrough_width(a)
+        # a 1.0 in the block's corner may extend the identity, and the text cannot tell where it began
+        rows, cols = b.output_dim - b._tail, b.input_dim - b._tail
+        assert a._tail >= b._tail if rows and cols and b.weights[rows - 1, cols - 1] == 1.0 else a._tail == b._tail
+
+
+def weights_blocks(lines):
+    """The line indices of each layer's weights rows."""
+    blocks, inside = [], False
+    for i, line in enumerate(lines):
+        if line == "weights":
+            blocks.append([])
+            inside = True
+        elif line.startswith("bias"):
+            inside = False
+        elif inside:
+            blocks[-1].append(i)
+    return blocks
+
+
+@pytest.mark.parametrize("written,respelt", [("0.0", "0"), ("0.0", "-0.0"), ("1.0", "1.00")])
+@pytest.mark.parametrize("where", ["every row", "one identity row"])
+def test_a_tail_written_in_other_words_is_read_as_written(written, respelt, where):
+    net = build_unrolled_acceptor(make_mod_counter_dfa(3), 3)
+    lines = format_network_document(net).splitlines()
+    blocks = weights_blocks(lines)
+    for i in [i for block in blocks for i in block] if where == "every row" else [blocks[0][-net.layers[0]._tail]]:
+        lines[i] = " ".join(respelt if value == written else value for value in lines[i].split(" "))
+    loaded = parse_network_document("\n".join(lines) + "\n")
+    for a, b, block in zip(loaded.layers, net.layers, blocks, strict=True):
+        want = np.array([[float(value) for value in lines[i].split()] for i in block])
+        assert a.weights.tobytes() == want.reshape(a.weights.shape).tobytes()
+        assert a.passthrough_width == b.passthrough_width == reference_passthrough_width(a)
+    if where == "every row":  # no row is the writer's identity text, so every block is read whole
+        assert not any(layer._tail for layer in loaded.layers)
+    else:  # the respelt row joins the block, and so do the rows below it when it ends in respelt zeros
+        assert loaded.layers[0]._tail == (net.layers[0]._tail - 1 if written == "1.0" else 0)
+        assert [a._tail for a in loaded.layers[1:]] == [b._tail for b in net.layers[1:]]
+
+
+@pytest.mark.parametrize("rows,text", [([4], "0.0 0.0"), ([0, 1, 2, 3], "  0.0 0.0")],
+                         ids=["a cut identity row", "block rows of blank prefixes"])
+def test_a_short_row_beside_a_tail_is_named_by_its_line(rows, text):
+    # layer 0 of the parity acceptor at T=2: 4 pair rows, then 2 identity rows, 4 values each
+    lines = format_network_document(build_unrolled_acceptor(make_parity_dfa(), 2)).splitlines()
+    block = weights_blocks(lines)[0]
+    for i in rows:
+        lines[block[i]] = text
+    with pytest.raises(DocumentError, match="expected 4 values, found 2") as excinfo:
+        parse_network_document("\n".join(lines) + "\n")
+    assert excinfo.value.line == block[rows[0]] + 1
 
 
 def test_network_parse_rejects_bad_header():

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dfas, scaled_acceptor
+from conftest import dfas, scaled_acceptor, tailed_layers
+from dfanet import network
 from dfanet.automata import accepts_batch, all_strings, make_mod_counter_dfa, make_parity_dfa
 from dfanet.compiler import (
     build_binary_threshold_network,
@@ -16,6 +18,7 @@ from dfanet.compiler import (
     verify_sampled,
 )
 from dfanet.encodings import encode_strings
+from dfanet.formats import format_network_document, parse_network_document
 from dfanet.network import LayerSpec, NetworkSpec, apply_activation, forward, forward_batch
 
 
@@ -209,6 +212,34 @@ def reference_passthrough_width(layer):
             break
         w += 1
     return w
+
+
+@settings(max_examples=300, deadline=None)
+@given(tailed_layers())
+def test_a_known_tail_gives_the_width_of_the_whole_scan(layer):
+    assert layer.passthrough_width == reference_passthrough_width(layer)
+    # replace forgets the tail, so the whole matrix is scanned, to the same width
+    plain = dataclasses.replace(layer)
+    assert plain._tail == 0 and plain.passthrough_width == layer.passthrough_width
+    if layer.activation != "sigmoid":
+        assert layer.passthrough_width >= layer._tail
+
+
+@pytest.mark.parametrize("source", ["built", "parsed"])
+def test_plan_scans_no_matrix_wider_than_its_active_block(monkeypatch, source):
+    net = build_unrolled_acceptor(make_mod_counter_dfa(5), 120)
+    if source == "parsed":
+        net = parse_network_document(format_network_document(net))
+    scanned, scan = [], network._identity_width
+
+    def counted(weights, bias):
+        scanned.append(weights.shape)
+        return scan(weights, bias)
+
+    monkeypatch.setattr(network, "_identity_width", counted)
+    active = [step.weights.shape for step, layer in zip(net._plan, net.layers) if layer.activation != "step"]
+    assert len(scanned) == len(active) == 240
+    assert all(rows <= r and cols <= c for (rows, cols), (r, c) in zip(scanned, active))
 
 
 def planted_layer(rng, active_rows, active_cols, tail, activation, miss):
