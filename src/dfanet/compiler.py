@@ -41,10 +41,11 @@ import numpy as np
 from .automata import Dfa, _distinct_rows, _numbered_strings, accepts_batch, all_strings
 from .encodings import binary_state_encoding, bits_for_state_count, encode_strings, one_hot_state_encoding
 from .encodings import transition_table
-from .network import LayerSpec, NetworkSpec, _beside_identity, _layer_step, _Step, forward_batch
+from .network import LayerSpec, NetworkSpec, _beside_identity, _run, _Step, forward_batch
 
 DEFAULT_ENUMERATION_BUDGET = 1 << 24
 _CHUNK = 1 << 16  # strings per enumeration chunk, and the most rows one walk stage may hold
+_PROJECTION_DRAWS = 100  # the most projections build_compressed_embedding samples
 
 
 class ProjectionError(RuntimeError):
@@ -205,14 +206,13 @@ def build_compressed_embedding(
     dfa: Dfa,
     epsilon: float = 0.1,
     seed: int | tuple[int, ...] = 0,
-    max_retries: int = 100,
 ) -> tuple[np.ndarray, float]:
     """Sample a random projection separating all state embeddings.
 
     Draws a (d, n) matrix of standard normals scaled by 1/sqrt(d), with
-    d = ceil(log2 n) + 1, and resamples until every pair of projected states
-    is more than ``epsilon`` apart. Returns the projection and the achieved
-    minimum pairwise distance.
+    d = ceil(log2 n) + 1, and resamples, 100 draws at most, until every pair
+    of projected states is more than ``epsilon`` apart. Returns the projection
+    and the achieved minimum pairwise distance.
     """
     n = dfa.state_count
     if n < 2:
@@ -222,7 +222,7 @@ def build_compressed_embedding(
     d = bits_for_state_count(n) + 1
     rng = np.random.default_rng(seed)
     best = -np.inf
-    for _ in range(max_retries):
+    for _ in range(_PROJECTION_DRAWS):
         projection = rng.standard_normal((d, n)) / np.sqrt(d)
         distance = min(
             float(np.linalg.norm(projection[:, i] - projection[:, j]))
@@ -233,7 +233,7 @@ def build_compressed_embedding(
         if distance > epsilon:
             return projection, distance
     raise ProjectionError(
-        f"no projection reached separation {epsilon} within {max_retries} draws "
+        f"no projection reached separation {epsilon} within {_PROJECTION_DRAWS} draws "
         f"(best achieved: {best:.6g})",
         best_distance=best,
     )
@@ -343,23 +343,14 @@ def _stage_key(steps: tuple[_Step, ...]) -> tuple:
     )
 
 
-def _walk_layers(steps: tuple[_Step, ...], carriers: np.ndarray, fresh: np.ndarray) -> np.ndarray | None:
-    """``steps`` on ``carriers``, the first joined by ``fresh``; None if one would read a value that is not finite."""
-    for step in steps:
-        if not np.isfinite(carriers).all():
-            return None
-        carriers = _layer_step(step, carriers, fresh)
-    return carriers
-
-
 def _walk(net: NetworkSpec, dfa: Dfa, limit: int) -> _Walk | None:
     """Walk ``net._plan`` and ``dfa`` together over the distinct pairs; None where it cannot.
 
     It cannot when a layer reads part of a symbol block, when the output passes
     input columns through, when a layer would read a carrier that is not
-    finite (the rule of ``dfanet.network``, judged as ``forward_batch`` judges
-    it), or when one stage would hold more than ``limit`` pair-symbol rows.
-    The last layer's inf or nan is a verdict.
+    finite (the rule of ``dfanet.network``, judged by ``forward_batch``'s own
+    loop, ``network._run``), or when one stage would hold more than ``limit``
+    pair-symbol rows. The last layer's inf or nan is a verdict.
 
     Each distinct stage runs once. A stage whose steps compute what the
     previous stage's did (``_stage_key``), from pairs that the previous stage
@@ -393,7 +384,7 @@ def _walk(net: NetworkSpec, dfa: Dfa, limit: int) -> _Walk | None:
             states = np.repeat(states, k**b)
             for column in symbols.T:
                 states = dfa.transitions[states, column]
-            carriers = _walk_layers(steps, np.repeat(carriers, k**b, axis=0), fresh)
+            carriers = _run(steps, np.repeat(carriers, k**b, axis=0), fresh)
             if carriers is None:
                 return None
             carriers, states, index = _distinct(carriers, states)

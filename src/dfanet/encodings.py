@@ -47,7 +47,6 @@ def bits_for_state_count(n: int) -> int:
 class StateEncoding:
     """Mapping from state indices to vectors; ``codes[i]`` encodes state i."""
 
-    kind: str  # "one-hot" | "binary"
     dim: int
     codes: np.ndarray
 
@@ -60,13 +59,13 @@ class StateEncoding:
 def one_hot_state_encoding(n: int) -> StateEncoding:
     if n < 1:
         raise ValueError("state count must be positive")
-    return StateEncoding(kind="one-hot", dim=n, codes=np.eye(n))
+    return StateEncoding(dim=n, codes=np.eye(n))
 
 
 def binary_state_encoding(n: int) -> StateEncoding:
     d = bits_for_state_count(n)
     codes = np.stack([binary_code(i, d) for i in range(n)])
-    return StateEncoding(kind="binary", dim=d, codes=codes)
+    return StateEncoding(dim=d, codes=codes)
 
 
 def transition_table(dfa: Dfa, encoding: StateEncoding) -> tuple[np.ndarray, np.ndarray]:

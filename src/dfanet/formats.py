@@ -15,12 +15,13 @@ through. So both sides work a block at a time, and a tail at a time:
   after each block row and the identity rows below are copied from one
   string (``_identity_text``). The bytes are those of the dense rendering.
 - The reader takes lines as it needs them, skipping blank and comment lines.
-  A weights block that ends in that canonical identity text has only its
-  active prefix tokenized, and its layer is rebuilt beside the identity.
-  Every other block is read in one ``np.loadtxt`` call. Only when that call
-  refuses the block does it re-read the rows one by one with ``float()``:
-  that loop names the bad line, and it accepts exactly what ``float()``
-  accepts, ``1_0`` and non-ASCII digits included.
+  Every weights block has one fast path: the rows above the canonical
+  identity text that ends it, if any, are tokenized less its zeros in one
+  ``np.loadtxt`` call, and a layer with such a tail is rebuilt beside the
+  identity. Only when that path refuses the block does the reader re-read
+  the rows one by one with ``float()``: that loop names the bad line, and it
+  accepts exactly what ``float()`` accepts, ``1_0`` and non-ASCII digits
+  included.
 """
 
 from __future__ import annotations
@@ -221,8 +222,6 @@ def _identity_text(width: int) -> str:
 def _weight_rows(layer: LayerSpec) -> list[str]:
     """The rows of ``layer.weights``; a known identity tail is copied as text, not rendered."""
     tail = layer._tail
-    if not tail:
-        return _format_rows(layer.weights)
     rows, cols = layer.output_dim - tail, layer.input_dim - tail
     zeros = " 0.0" * tail
     block = [row + zeros for row in _format_rows(layer.weights[:rows, :cols])] if cols else [zeros[1:]] * rows
@@ -287,75 +286,49 @@ class _LineReader:
             raise DocumentError(f"expected {keyword!r}, found {parts[0]!r}", lineno, 1)
         return parts[1:], lineno
 
-    def read_block(self, out_dim: int, in_dim: int) -> np.ndarray | None:
-        """The next ``out_dim`` lines as one (out_dim, in_dim) matrix, or None.
-
-        One ``np.loadtxt`` call reads them. It gets only a full block: on no
-        lines at all it warns, and a short block is left to the row loop, which
-        names the line where it breaks off. Every literal ``loadtxt`` accepts
-        has the bits ``float()`` gives it; it refuses some that ``float()``
-        takes, such as ``1_0``. So on None the caller re-reads the rows one by
-        one, which accepts what it always did and names the bad line.
-        """
-        if not (out_dim and in_dim):
-            return None
-        start = self.line
-        try:
-            block = _load_rows([self.next()[0] for _ in range(out_dim)], out_dim, in_dim)
-        except DocumentError:  # the document ends inside the block
-            block = None
-        if block is None:
-            self.line = start
-        return block
-
-    def read_tail(self, out_dim: int, in_dim: int) -> tuple[np.ndarray, int] | None:
+    def read_weights(self, out_dim: int, in_dim: int, tailed: bool) -> tuple[np.ndarray, int] | None:
         """The next ``out_dim`` raw lines as a block beside a ``tail``-wide identity, or None.
 
-        The tail is the longest run of canonical identity rows (``_identity_text``)
-        that ends the block and leaves every row above ending in ``tail``
-        entries ``" 0.0"``; only the rest of those rows is tokenized, in one
-        ``np.loadtxt`` call. Whole rows are compared, so a comment or a row
-        with more text never counts as an identity row. On None (no such
-        tail, a blank or comment line among the rows, or a prefix ``loadtxt``
-        refuses) the caller reads the block as any other, so what this
-        accepts is what that reads, bit for bit.
+        With ``tailed``, the tail is the longest run of canonical identity rows
+        (``_identity_text``) that ends the block and leaves every row above
+        ending in ``tail`` entries ``" 0.0"``; whole rows are compared, so a
+        comment never counts. Otherwise, or with no such run, it is 0. The rows
+        above the tail, less its zeros, are tokenized in one ``np.loadtxt`` call.
+
+        On None the caller reads the rows one by one as ``next`` gives them and
+        names the bad line. So this refuses a row that ``next`` would skip or
+        strip (empty, or starting or ending with whitespace; a comment fails
+        ``loadtxt``), no lines at all (``loadtxt`` warns), a short block, and a
+        block ``loadtxt`` refuses. Every literal ``loadtxt`` accepts has the
+        bits ``float()`` gives it, so what this accepts, the loop reads alike.
         """
         rows = self.lines[self.line:self.line + out_dim]
-        width = 4 * in_dim - 1
-        # a last row of that length also bounds the identity text by the document's size
-        if not (out_dim and in_dim) or len(rows) < out_dim or len(rows[-1]) != width:
+        if not (out_dim and in_dim) or len(rows) < out_dim:
             return None
-        identity, tail, most = _identity_text(in_dim), 0, min(out_dim, in_dim)
-        while tail < most and len(rows[-1 - tail]) == width and identity.startswith(rows[-1 - tail], 4 * tail):
-            tail += 1
+        tail, width = 0, 4 * in_dim - 1
+        # a last row of that length also bounds the identity text by the document's size
+        if tailed and len(rows[-1]) == width:
+            identity, most = _identity_text(in_dim), min(out_dim, in_dim)
+            while tail < most and len(rows[-1 - tail]) == width and identity.startswith(rows[-1 - tail], 4 * tail):
+                tail += 1
         zeros = " 0.0" * tail
         for row in rows[:out_dim - tail]:
-            if row[:1].isspace():  # its prefix could be blank, and loadtxt skips blank lines
+            if not row or row[0].isspace() or row[-1].isspace():
                 return None
             # the rows above the tail end in its zeros; a block of no columns is those zeros alone
             while tail and not (row.endswith(zeros) if tail < in_dim else row == zeros[1:]):
                 tail -= 1
                 zeros = zeros[4:]
-        if not tail:
+        shape = (out_dim - tail, in_dim - tail)
+        prefixes = [row[:len(row) - 4 * tail] for row in rows[:out_dim - tail]]
+        try:
+            block = np.loadtxt(prefixes, ndmin=2, comments=None) if all(shape) else np.zeros(shape)
+        except ValueError:
             return None
-        prefixes = [row[:-4 * tail] for row in rows[:out_dim - tail]]
-        if tail < in_dim and prefixes:
-            block = _load_rows(prefixes, out_dim - tail, in_dim - tail)
-            if block is None:
-                return None
-        else:
-            block = np.zeros((out_dim - tail, in_dim - tail))
+        if block.shape != shape:
+            return None
         self.line += out_dim
         return block, tail
-
-
-def _load_rows(rows: list[str], out_dim: int, in_dim: int) -> np.ndarray | None:
-    """``rows`` as one (out_dim, in_dim) matrix by one ``np.loadtxt`` call, or None if it refuses them."""
-    try:
-        block = np.loadtxt(rows, ndmin=2, comments=None)
-    except ValueError:
-        return None
-    return block if block.shape == (out_dim, in_dim) else None
 
 
 def _parse_meta_value(token: str):
@@ -373,13 +346,13 @@ def parse_network_document(text: str) -> NetworkSpec:
     """Parse the versioned network format emitted by format_network_document.
 
     Blank lines and lines starting with ``#`` are skipped anywhere. A value is
-    any literal ``float()`` accepts, and rows split on whitespace. When the
-    weights block of a layer other than a step layer ends in the writer's
-    identity text, only its block is tokenized, and the layer is rebuilt
-    beside that identity: it keeps the tail it was written with, or a wider
-    one where the block's last rows and columns extend it. Any other weights
-    block is read in one call; if that refuses it, the rows are read one at a
-    time, and the first bad one is named by its line.
+    any literal ``float()`` accepts, and rows split on whitespace. Each
+    weights block is read in one call. When the block of a layer other than a
+    step layer ends in the writer's identity text, only the rows above it are
+    tokenized, and the layer is rebuilt beside that identity: it keeps the
+    tail it was written with, or a wider one where the block's last rows and
+    columns extend it. If that call refuses the block, the rows are read one
+    at a time, and the first bad one is named by its line.
     """
     reader = _LineReader(text)
     header, lineno = reader.next()
@@ -446,9 +419,8 @@ def parse_network_document(text: str) -> NetworkSpec:
             thresholds = parse_floats(threshold_tokens, out_dim, threshold_line)
         reader.expect("weights")
         # rows come only from lines present, never from the declared shape alone
-        beside = None if activation == "step" else reader.read_tail(out_dim, in_dim)
-        weights = None if beside else reader.read_block(out_dim, in_dim)
-        if weights is None and beside is None:
+        weights, tail = reader.read_weights(out_dim, in_dim, activation != "step") or (None, 0)
+        if weights is None:
             rows = []
             if in_dim:
                 for _ in range(out_dim):
@@ -458,14 +430,13 @@ def parse_network_document(text: str) -> NetworkSpec:
         bias_tokens, at = reader.expect("bias")
         bias = parse_floats(bias_tokens, out_dim, at)
         try:
-            if beside:
+            if tail:
                 # the identity's rows need a +0.0 bias; rows above the bias's zeros rejoin the block
-                block, tail = beside
                 bits = bias[out_dim - tail:].view(np.int64)  # +0.0 alone has no bit set
                 keep = tail - int(np.flatnonzero(bits)[-1]) - 1 if bits.any() else tail
                 if keep < tail:
-                    block = _beside_identity(block, np.zeros(len(block)), tail - keep, "identity").weights
-                layers.append(_beside_identity(block, bias[:out_dim - keep], keep, activation))
+                    weights = _beside_identity(weights, np.zeros(len(weights)), tail - keep, "identity").weights
+                layers.append(_beside_identity(weights, bias[:out_dim - keep], keep, activation))
             else:
                 layers.append(
                     LayerSpec(

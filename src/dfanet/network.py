@@ -22,8 +22,8 @@ that identity as text.
 
 The blocks stand for the whole layers while every value a layer reads is
 finite: each skipped zero weight then adds an exact zero, where zero times inf
-is nan. ``forward_batch`` and ``compiler._walk`` judge that one rule on the
-carriers they compute, before each layer.
+is nan. ``forward_batch`` and ``compiler._walk`` run the plan through one loop
+(``_run``), which judges that rule on the carriers before each layer.
 """
 
 from __future__ import annotations
@@ -269,9 +269,10 @@ def _layer_step(step: _Step, a: np.ndarray, fresh: np.ndarray) -> np.ndarray:
     return apply_activation(step.activation, z, step.thresholds, step.strict)
 
 
-def _run(plan: tuple[_Step, ...], x: np.ndarray, judged: bool) -> np.ndarray | None:
-    """``plan`` on ``x``; None if ``judged`` and a step would read a value that is not finite."""
-    a, read = x[:, :0], 0
+def _run(plan: tuple[_Step, ...], a: np.ndarray, x: np.ndarray, judged: bool = True) -> np.ndarray | None:
+    """``plan`` on the carriers ``a``, its steps reading the columns of ``x`` in turn;
+    None if ``judged`` and a step would read a value that is not finite."""
+    read = 0
     for step in plan:
         if judged and not np.isfinite(a).all():
             return None
@@ -303,10 +304,10 @@ def forward_batch(net: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
             f"input dimension mismatch: network expects {net.input_dim}, got {x.shape[1]}"
         )
     if np.isfinite(x).all():
-        a = _run(net._plan, x, judged=True)
+        a = _run(net._plan, x[:, :0], x)
         if a is not None:
             return a
-    return _run(net._dense_plan, x, judged=False)
+    return _run(net._dense_plan, x[:, :0], x, judged=False)
 
 
 def forward(net: NetworkSpec, x: np.ndarray) -> np.ndarray:

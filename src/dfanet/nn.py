@@ -240,22 +240,18 @@ class UnrolledNet(_FlatModel):
         head_activations: Sequence[str],
         seed,
         hidden_width: int = 32,
-        state_activation: str = "relu",
     ) -> None:
         if length < 0:
             raise ValueError("length must be non-negative")
         if len(head_dims) != len(head_activations) or not head_dims:
             raise ValueError("need one activation per head layer, at least one head layer")
         _check_trainable(head_activations)
-        if state_activation not in ("relu", "identity"):
-            raise ValueError("state activation must be relu or identity")
         if not 0 <= start_state < state_dim:
             raise ValueError("start_state out of range")
         self.state_dim = state_dim
         self.alphabet_size = alphabet_size
         self.length = length
         self.hidden_width = hidden_width
-        self.state_activation = state_activation
         self.head_activations = list(head_activations)
         self.initial_state = np.zeros(state_dim)
         self.initial_state[start_state] = 1.0
@@ -314,7 +310,7 @@ class UnrolledNet(_FlatModel):
         for t in range(length):
             tail = (length - t - 1) * k
             layers.append(_beside_identity(self.w1[t], self.b1[t], tail, "relu"))
-            layers.append(_beside_identity(self.w2[t], self.b2[t], tail, self.state_activation))
+            layers.append(_beside_identity(self.w2[t], self.b2[t], tail, "relu"))
         layers += [LayerSpec(w, b, act) for (w, b), act in zip(self.head_weights, self.head_activations)]
         return NetworkSpec(tuple(layers), self.input_dim, self.output_dim, {"construction": "trained-unrolled"})
 
@@ -348,15 +344,14 @@ class UnrolledNet(_FlatModel):
             np.maximum(hidden[t], 0.0, out=hidden[t])
             np.matmul(hidden[t], self.w2[t].T, out=states[t + 1])
             states[t + 1] += self.b2[t]
-            if self.state_activation == "relu":
-                np.maximum(states[t + 1], 0.0, out=states[t + 1])
+            np.maximum(states[t + 1], 0.0, out=states[t + 1])
         state = states[length]
         value, dz = _stack_gradients(self._head, self.head_activations, state, targets, counts, loss, g_head)
         d_state = dz @ self._head[0]
         # the carried-state chain runs one position at a time, the weight gradients in one batch
         for t in range(length - 1, -1, -1):
             d_states[t] = d_state
-            _times_derivative(self.state_activation, d_states[t], states[t + 1])
+            _times_derivative("relu", d_states[t], states[t + 1])
             _times_derivative("relu", np.matmul(d_states[t], self.w2[t], out=d_hidden[t]), hidden[t])
             if t:
                 d_state = np.matmul(d_hidden[t], self.w1[t], out=d_joint)[:, :n]

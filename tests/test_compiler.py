@@ -21,7 +21,7 @@ from dfanet.compiler import (
 )
 from dfanet.encodings import binary_state_encoding, encode_string, encode_strings, one_hot
 from dfanet.experiments import gen_binary_transition_dataset, gen_dfa_dataset, gen_transition_dataset
-from dfanet.network import LayerSpec, NetworkSpec, _layer_step, forward, forward_batch
+from dfanet.network import LayerSpec, NetworkSpec, _run, forward, forward_batch
 from dfanet.nn import TrainConfig, UnrolledNet, train
 
 from conftest import dfas, plain_accepts, plain_fold, scaled_acceptor
@@ -244,6 +244,7 @@ def test_compressed_embedding_unattainable_separation():
     with pytest.raises(ProjectionError) as excinfo:
         build_compressed_embedding(make_mod_counter_dfa(4), epsilon=1e6, seed=0)
     assert excinfo.value.best_distance > 0
+    assert "within 100 draws" in str(excinfo.value)
 
 
 def test_compressed_embedding_needs_two_states():
@@ -581,13 +582,14 @@ def test_report_is_exact_when_it_counts_no_mismatch(parity):
 
 
 def counting_layer_steps(monkeypatch):
+    """The steps of every plan the walk hands to ``network._run``; enumeration's ``forward_batch`` is not counted."""
     calls = []
 
-    def counted(step, *args):
-        calls.append(step)
-        return _layer_step(step, *args)
+    def counted(plan, *args, **kwargs):
+        calls.extend(plan)
+        return _run(plan, *args, **kwargs)
 
-    monkeypatch.setattr(dfanet.compiler, "_layer_step", counted)
+    monkeypatch.setattr(dfanet.compiler, "_run", counted)
     return calls
 
 

@@ -81,7 +81,7 @@ def test_encode_strings_matches_rows():
 
 def test_one_hot_state_encoding():
     enc = one_hot_state_encoding(3)
-    assert enc.kind == "one-hot" and enc.dim == 3
+    assert enc.dim == 3
     assert np.array_equal(enc.codes, np.eye(3))
 
 

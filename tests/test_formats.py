@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import tailed_layers
 from test_network import reference_passthrough_width
 from dfanet.automata import make_mod_counter_dfa, make_parity_dfa, random_dfa
+from dfanet.cli import COMPILE_TARGETS, main
 from dfanet.compiler import (
     build_binary_threshold_network,
     build_transition_layer,
@@ -18,6 +19,7 @@ from dfanet.formats import (
     NETWORK_FORMAT_HEADER,
     DfaDocument,
     DocumentError,
+    _LineReader,
     _tokenize,
     export_dot,
     format_dfa_document,
@@ -330,6 +332,40 @@ def test_a_tail_written_in_other_words_is_read_as_written(written, respelt, wher
         assert [a._tail for a in loaded.layers[1:]] == [b._tail for b in net.layers[1:]]
 
 
+@pytest.mark.parametrize("dfa", [make_parity_dfa(), make_mod_counter_dfa(5), random_dfa(3, 3, seed=1)],
+                         ids=["parity", "mod-5", "random3x3"])
+def test_no_weights_row_of_a_compiled_document_is_read_one_by_one(dfa, tmp_path, monkeypatch):
+    """Every weights block ``dfanet compile`` writes takes the one-call path, never the row loop.
+
+    The row loop takes each row through ``_LineReader.next``, so the lines
+    ``next`` returns are recorded and must hold no weights row. The golden
+    digests cannot see a guard that sends the writer's blocks to that loop:
+    its result is the same, only slower.
+    """
+    taken, next_line = [], _LineReader.next
+
+    def recorded(self):
+        line = next_line(self)
+        taken.append(line[1])
+        return line
+
+    monkeypatch.setattr(_LineReader, "next", recorded)
+    dfa_path, net_path = tmp_path / "a.dfa", tmp_path / "a.net"
+    dfa_path.write_text(format_dfa_document(DfaDocument.from_dfa(dfa)))
+    checked = 0
+    for target in COMPILE_TARGETS:
+        for length in (0, 1, 20) if target in ("unrolled", "embedding", "compressed") else (None,):
+            argv = ["compile", str(dfa_path), "--target", target, "--out", str(net_path)]
+            assert main(argv + ([] if length is None else ["--length", str(length)])) == 0
+            text = net_path.read_text()
+            taken.clear()
+            assert format_network_document(parse_network_document(text)) == text
+            rows = {i + 1 for block in weights_blocks(text.splitlines()) for i in block}
+            assert not rows & set(taken), (target, length)
+            checked += len(rows)
+    assert checked > 1000
+
+
 @pytest.mark.parametrize("rows,text", [([4], "0.0 0.0"), ([0, 1, 2, 3], "  0.0 0.0")],
                          ids=["a cut identity row", "block rows of blank prefixes"])
 def test_a_short_row_beside_a_tail_is_named_by_its_line(rows, text):
@@ -341,6 +377,31 @@ def test_a_short_row_beside_a_tail_is_named_by_its_line(rows, text):
     with pytest.raises(DocumentError, match="expected 4 values, found 2") as excinfo:
         parse_network_document("\n".join(lines) + "\n")
     assert excinfo.value.line == block[rows[0]] + 1
+
+
+@pytest.mark.parametrize("respell", [
+    lambda row: ["", row],
+    lambda row: ["# a comment", row],
+    lambda row: [" " + row],
+    lambda row: [row + "\t"],
+], ids=["blank before", "comment before", "indented", "trailing tab"])
+@pytest.mark.parametrize("net", [build_unrolled_acceptor(make_parity_dfa(), 2), build_transition_layer(random_dfa(3, 3, seed=2))],
+                         ids=["acceptor", "transition"])
+def test_padded_or_interleaved_weights_rows_read_plainly(net, respell):
+    """Rows behind a blank or comment line, or padded with whitespace, read as the plain rows.
+
+    The one-call path reads raw lines, so it leaves such blocks to the row
+    loop. The acceptor's readout block is one row: behind a blank line, the raw
+    block is that blank line alone, on which ``loadtxt`` would warn.
+    """
+    text = format_network_document(net)
+    lines = text.splitlines()
+    rows = {i for block in weights_blocks(lines) for i in block}
+    respelt = [new for i, line in enumerate(lines) for new in (respell(line) if i in rows else [line])]
+    loaded = parse_network_document("\n".join(respelt) + "\n")
+    for a, b in zip(loaded.layers, parse_network_document(text).layers, strict=True):
+        assert (a.activation, a.passthrough_width) == (b.activation, b.passthrough_width)
+        assert a.weights.tobytes() == b.weights.tobytes() and a.bias.tobytes() == b.bias.tobytes()
 
 
 def test_network_parse_rejects_bad_header():

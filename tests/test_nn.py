@@ -139,22 +139,20 @@ def test_gradients_match_central_differences(activations, loss):
 
 
 @pytest.mark.parametrize(
-    "head_dims,head_activations,loss,state_activation",
+    "head_dims,head_activations,loss",
     [
-        ([1], ["sigmoid"], "bce", "relu"),
-        ([4, 3], ["relu", "sigmoid"], "mse", "identity"),
-        ([2, 3], ["identity", "identity"], "softmax_ce", "relu"),
+        ([1], ["sigmoid"], "bce"),
+        ([4, 3], ["relu", "sigmoid"], "mse"),
+        ([2, 3], ["identity", "identity"], "softmax_ce"),
     ],
-    ids=["bce-sigmoid-head", "mse-relu-sigmoid-head-identity-state", "softmax_ce-identity-head"],
+    ids=["bce-sigmoid-head", "mse-relu-sigmoid-head", "softmax_ce-identity-head"],
 )
-def test_unrolled_gradients_match_central_differences(
-    head_dims, head_activations, loss, state_activation
-):
+def test_unrolled_gradients_match_central_differences(head_dims, head_activations, loss):
     rng = np.random.default_rng(11)
     model = UnrolledNet(
         state_dim=3, alphabet_size=2, length=2, start_state=0,
         head_dims=head_dims, head_activations=head_activations,
-        seed=9, hidden_width=4, state_activation=state_activation,
+        seed=9, hidden_width=4,
     )
     # the init zeroes the last head layer and every bias, which would zero the gradients
     # below the head and put pre-activations exactly on the relu kink; draw them all
@@ -402,9 +400,6 @@ def parity_rows(strings: np.ndarray):
 
 PLAIN_LOOP_MODELS = {
     "unrolled-relu": lambda: UnrolledNet(4, 2, 4, 0, [1], ["sigmoid"], seed=8, hidden_width=6),
-    "unrolled-identity": lambda: UnrolledNet(
-        4, 2, 4, 0, [1], ["sigmoid"], seed=8, hidden_width=6, state_activation="identity"
-    ),
     "unrolled-T0": lambda: UnrolledNet(4, 2, 0, 0, [3, 1], ["relu", "sigmoid"], seed=8, hidden_width=6),
     "mlp": lambda: TrainableMlp([8, 6, 1], ["relu", "sigmoid"], seed=8),
 }
@@ -497,7 +492,7 @@ def reference_trunk(model, params, inputs):
     state, stacks = np.tile(model.initial_state, (len(inputs), 1)), []
     for t in range(model.length):
         joint = np.concatenate([state, inputs[:, t * k : (t + 1) * k]], axis=1)
-        stacks.append(reference_forward(params[4 * t : 4 * t + 4], ("relu", model.state_activation), joint))
+        stacks.append(reference_forward(params[4 * t : 4 * t + 4], ("relu", "relu"), joint))
         state = stacks[-1][1][-1]
     return state, stacks
 
@@ -509,7 +504,6 @@ def reference_loss_and_gradients(model, inputs, targets, loss, counts):
         value, dz = reference_loss(loss, pre[-1], post[-1], targets, model.activations[-1], counts)
         return value, reference_backward(params, model.activations, pre, post, dz)[0]
     n, length = model.state_dim, model.length
-    block_activations = ("relu", model.state_activation)
     state, stacks = reference_trunk(model, params, inputs)
     head = params[4 * length :]
     pre, post = reference_forward(head, model.head_activations, state)
@@ -519,8 +513,8 @@ def reference_loss_and_gradients(model, inputs, targets, loss, counts):
     for t in range(length - 1, -1, -1):
         pre, post = stacks[t]
         block = params[4 * t : 4 * t + 4]
-        dz = d_state * REFERENCE_DERIVATIVES[model.state_activation](pre[-1], post[-1])
-        block_grads, dz = reference_backward(block, block_activations, pre, post, dz)
+        dz = d_state * REFERENCE_DERIVATIVES["relu"](pre[-1], post[-1])
+        block_grads, dz = reference_backward(block, ("relu", "relu"), pre, post, dz)
         grads[:0] = block_grads
         d_state = (dz @ block[0])[:, :n]
     return value, grads
@@ -538,7 +532,6 @@ def kernel_cases(draw):
         model = UnrolledNet(
             draw(st.integers(1, 5)), k, length, 0, head_dims, hidden_heads + [last], seed=seed,
             hidden_width=draw(st.integers(1, 6)),
-            state_activation=draw(st.sampled_from(["relu", "identity"])),
         )
     else:
         model = TrainableMlp([draw(st.integers(1, 6)), *head_dims], hidden_heads + [last], seed=seed)

@@ -2,8 +2,9 @@
 
 Every imported name is used in the module that imports it, every module-level
 private name (``_helper``) is referenced somewhere in the package outside its
-own definition, and every function reads each of its parameters. A deletion
-that leaves an import, a helper or a parameter behind fails here.
+own definition, and so is every method of a private class that no public class
+subclasses; every function reads each of its parameters. A deletion that
+leaves an import, a helper, a method or a parameter behind fails here.
 """
 
 import ast
@@ -79,6 +80,32 @@ def test_every_private_definition_is_referenced(module):
         name
         for name, node in _private_definitions(MODULES[module])
         if name not in elsewhere | _used_names(MODULES[module], skip=node)
+    ]
+    assert unreferenced == []
+
+
+SUBCLASSED_BY_PUBLIC = {
+    base.id
+    for tree in MODULES.values()
+    for node in ast.walk(tree)
+    if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+    for base in node.bases
+    if isinstance(base, ast.Name)
+}
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_every_method_of_a_private_class_is_referenced(module):
+    """Only the package calls such a method, so one that nothing calls, such as a reader path left beside its replacement, fails here."""
+    tree = MODULES[module]
+    elsewhere = set().union(*(_used_names(other) for name, other in MODULES.items() if name != module))
+    unreferenced = [
+        f"{cls.name}.{method.name}"
+        for _, cls in _private_definitions(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name not in SUBCLASSED_BY_PUBLIC
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and not method.name.startswith("__")
+        and method.name not in elsewhere | _used_names(tree, skip=method)
     ]
     assert unreferenced == []
 
