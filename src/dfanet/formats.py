@@ -11,17 +11,20 @@ through. So both sides work a block at a time, and a tail at a time:
 
 - The writer renders each distinct value of a layer once and joins its rows
   from those strings. A layer that knows the identity it was built beside
-  (``network._beside_identity``) renders only its block that way; the zeros
-  after each block row and the identity rows below are copied from one
-  string (``_identity_text``). The bytes are those of the dense rendering.
+  (``network._beside_identity``) renders only its block and the bias above
+  the identity that way; the zeros after each block row and bias, and the
+  identity rows below, are copied from one string (``_identity_text``). A
+  block or bias is rendered once per document: the T transition modules of
+  an acceptor share theirs. The bytes are those of the dense rendering.
 - The reader takes lines as it needs them, skipping blank and comment lines.
   Every weights block has one fast path: the rows above the canonical
   identity text that ends it, if any, are tokenized less its zeros in one
-  ``np.loadtxt`` call, and a layer with such a tail is rebuilt beside the
-  identity. Only when that path refuses the block does the reader re-read
-  the rows one by one with ``float()``: that loop names the bad line, and it
-  accepts exactly what ``float()`` accepts, ``1_0`` and non-ASCII digits
-  included.
+  ``np.loadtxt`` call, once per distinct shape and text in the document, and
+  a layer with such a tail is rebuilt beside the identity; of a bias that
+  ends in the writer's zeros, only the values above them are read. Only when
+  that path refuses the block does the reader re-read the rows one by one
+  with ``float()``: that loop names the bad line, and it accepts exactly what
+  ``float()`` accepts, ``1_0`` and non-ASCII digits included.
 """
 
 from __future__ import annotations
@@ -219,12 +222,15 @@ def _identity_text(width: int) -> str:
     return "0.0 " * (width - 1) + "1.0" + " 0.0" * (width - 1)
 
 
-def _weight_rows(layer: LayerSpec) -> list[str]:
-    """The rows of ``layer.weights``; a known identity tail is copied as text, not rendered."""
+def _weight_rows(layer: LayerSpec, rendered) -> list[str]:
+    """The rows of ``layer.weights``; a known identity tail is copied as text, not rendered.
+
+    ``rendered`` gives the rows of the block above the tail (``_format_rows``).
+    """
     tail = layer._tail
     rows, cols = layer.output_dim - tail, layer.input_dim - tail
     zeros = " 0.0" * tail
-    block = [row + zeros for row in _format_rows(layer.weights[:rows, :cols])] if cols else [zeros[1:]] * rows
+    block = [row + zeros for row in rendered(layer.weights[:rows, :cols])] if cols else [zeros[1:]] * rows
     identity, width = _identity_text(layer.input_dim), 4 * layer.input_dim - 1
     return block + [identity[4 * m:4 * m + width] for m in range(tail - 1, -1, -1)]
 
@@ -235,9 +241,20 @@ def format_network_document(net: NetworkSpec) -> str:
     Every value is written as its shortest round-trip ``repr``. Each layer's
     distinct values are rendered once and its rows joined from those strings.
     A layer built beside an identity has only its block rendered; its
-    identity rows, and the zeros that end the rows above them, are copied
-    from one string. The bytes are the dense rendering's either way.
+    identity rows, and the zeros that end the rows above them and its bias,
+    are copied from one string. A block or bias equal in shape and bytes to
+    one already written (a later transition module's) reuses that one's
+    rows. The bytes are the dense rendering's either way.
     """
+    memo: dict[tuple, list[str]] = {}
+
+    def rendered(values: np.ndarray) -> list[str]:
+        # bytes, not values, so that -0.0 and 0.0, or two nans, stay apart
+        key = (values.shape, values.tobytes())
+        if key not in memo:
+            memo[key] = _format_rows(values)
+        return memo[key]
+
     lines = [NETWORK_FORMAT_HEADER]
     for key in sorted(net.metadata):
         lines.append(f"meta {key} {net.metadata[key]}")
@@ -249,12 +266,14 @@ def format_network_document(net: NetworkSpec) -> str:
         lines.append(f"activation {layer.activation}")
         if layer.activation == "step":
             lines.append(f"strict {'true' if layer.strict else 'false'}")
-            lines.append("thresholds " + _format_rows(layer.thresholds[None])[0])
+            lines.append("thresholds " + rendered(layer.thresholds[None])[0])
         lines.append(f"shape {layer.output_dim} {layer.input_dim}")
         lines.append("weights")
         if layer.input_dim:
-            lines.extend(_weight_rows(layer))
-        lines.append("bias " + _format_rows(layer.bias[None])[0])
+            lines.extend(_weight_rows(layer, rendered))
+        # the identity's bias is zeros, copied as text like its rows; a rendered value is never empty
+        head, zeros = rendered(layer.bias[None, :layer.output_dim - layer._tail])[0], " 0.0" * layer._tail
+        lines.append("bias " + (head + zeros if head else zeros[1:]))
     return "\n".join(lines) + "\n"
 
 
@@ -269,6 +288,8 @@ class _LineReader:
     def __init__(self, text: str):
         self.lines = text.splitlines()
         self.line = 0  # the 1-based number of the last line read, so the index of the next
+        # read_weights' blocks by shape and prefix text, None where refused; shared, so read-only
+        self.blocks: dict[tuple, np.ndarray | None] = {}
 
     def next(self) -> tuple[str, int]:
         lines = self.lines
@@ -293,7 +314,9 @@ class _LineReader:
         (``_identity_text``) that ends the block and leaves every row above
         ending in ``tail`` entries ``" 0.0"``; whole rows are compared, so a
         comment never counts. Otherwise, or with no such run, it is 0. The rows
-        above the tail, less its zeros, are tokenized in one ``np.loadtxt`` call.
+        above the tail, less its zeros, are tokenized in one ``np.loadtxt`` call,
+        once per distinct shape and text in the document: the block returned
+        may be the one an earlier layer got, so it is read-only.
 
         On None the caller reads the rows one by one as ``next`` gives them and
         names the bad line. So this refuses a row that ``next`` would skip or
@@ -321,14 +344,27 @@ class _LineReader:
                 zeros = zeros[4:]
         shape = (out_dim - tail, in_dim - tail)
         prefixes = [row[:len(row) - 4 * tail] for row in rows[:out_dim - tail]]
-        try:
-            block = np.loadtxt(prefixes, ndmin=2, comments=None) if all(shape) else np.zeros(shape)
-        except ValueError:
-            return None
-        if block.shape != shape:
+        # no row holds a line break, so the text tells blocks of one shape apart; the shape is
+        # in the key because blocks of no rows or no columns share their text
+        key = (shape, "\n".join(prefixes))
+        if key not in self.blocks:
+            self.blocks[key] = _loaded(prefixes, shape)
+        if self.blocks[key] is None:
             return None
         self.line += out_dim
-        return block, tail
+        return self.blocks[key], tail
+
+
+def _loaded(prefixes: list[str], shape: tuple[int, int]) -> np.ndarray | None:
+    """``prefixes`` tokenized in one ``np.loadtxt`` call as a read-only ``shape`` block; None if refused."""
+    try:
+        block = np.loadtxt(prefixes, ndmin=2, comments=None) if all(shape) else np.zeros(shape)
+    except ValueError:
+        return None
+    if block.shape != shape:
+        return None
+    block.flags.writeable = False
+    return block
 
 
 def _parse_meta_value(token: str):
@@ -428,12 +464,19 @@ def parse_network_document(text: str) -> NetworkSpec:
                     rows.append(parse_floats(row_line.split(), in_dim, at))
             weights = np.array(rows).reshape(out_dim, in_dim)
         bias_tokens, at = reader.expect("bias")
-        bias = parse_floats(bias_tokens, out_dim, at)
+        # the writer's zeros under the identity are +0.0, so only the tokens above them are read
+        written = tail > 0 and len(bias_tokens) == out_dim and bias_tokens[out_dim - tail:].count("0.0") == tail
+        if written:
+            bias = parse_floats(bias_tokens[:out_dim - tail], out_dim - tail, at)
+        else:
+            bias = parse_floats(bias_tokens, out_dim, at)
         try:
             if tail:
-                # the identity's rows need a +0.0 bias; rows above the bias's zeros rejoin the block
-                bits = bias[out_dim - tail:].view(np.int64)  # +0.0 alone has no bit set
-                keep = tail - int(np.flatnonzero(bits)[-1]) - 1 if bits.any() else tail
+                keep = tail
+                if not written:
+                    # the identity's rows need a +0.0 bias; rows above the bias's zeros rejoin the block
+                    bits = bias[out_dim - tail:].view(np.int64)  # +0.0 alone has no bit set
+                    keep = tail - int(np.flatnonzero(bits)[-1]) - 1 if bits.any() else tail
                 if keep < tail:
                     weights = _beside_identity(weights, np.zeros(len(weights)), tail - keep, "identity").weights
                 layers.append(_beside_identity(weights, bias[:out_dim - keep], keep, activation))

@@ -55,8 +55,10 @@ class LayerSpec:
     _tail: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        weights = np.array(self.weights, dtype=float)
-        bias = np.array(self.bias, dtype=float)
+        self._keep(np.array(self.weights, dtype=float), np.array(self.bias, dtype=float))
+
+    def _keep(self, weights: np.ndarray, bias: np.ndarray) -> None:
+        """Check the layer and keep ``weights`` and ``bias``, which it owns from here on, made read-only."""
         if weights.ndim != 2:
             raise ValueError("weights must be a matrix")
         if bias.shape != (weights.shape[0],):
@@ -128,14 +130,22 @@ def _beside_identity(block: np.ndarray, bias: np.ndarray, tail: int, activation:
     """``block`` and its ``bias`` beside a ``tail``-wide identity passing the last inputs through.
 
     The layer keeps ``tail`` (``LayerSpec._tail``), so neither the plan nor
-    the file format has to find the identity again.
+    the file format has to find the identity again. Its dense matrix is
+    written once and owned by the layer: the public constructor's copy is
+    skipped, and ``block`` and ``bias`` are only read.
     """
     rows, cols = block.shape
-    weights = np.zeros((rows + tail, cols + tail))
+    if np.shape(bias) != (rows,):
+        LayerSpec(weights=block, bias=bias, activation=activation)  # raises the constructor's own error
+    width = cols + tail
+    weights = np.zeros((rows + tail, width))
     weights[:rows, :cols] = block
-    np.fill_diagonal(weights[rows:, cols:], 1.0)
-    layer = LayerSpec(weights=weights, bias=np.concatenate([bias, np.zeros(tail)]), activation=activation)
-    object.__setattr__(layer, "_tail", tail)
+    weights.reshape(-1)[rows * width + cols::width + 1] = 1.0  # the identity's diagonal
+    padded = np.zeros(rows + tail)
+    padded[:rows] = bias
+    layer = object.__new__(LayerSpec)
+    vars(layer).update(activation=activation, thresholds=None, strict=False, _tail=tail)
+    layer._keep(weights, padded)
     return layer
 
 

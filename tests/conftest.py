@@ -101,8 +101,8 @@ TAIL_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, np.nan, np.inf, -
 
 
 @st.composite
-def tailed_layers(draw, cols=None, tail=None):
-    """A layer ``_beside_identity`` builds from a drawn block, bias, tail and activation.
+def tailed_parts(draw, cols=None, tail=None):
+    """A drawn block, bias, tail and activation, the arguments of ``_beside_identity``.
 
     The block may have no rows or no columns. Its last rows and columns may
     form an identity of their own with a zero bias, which extends the tail,
@@ -121,7 +121,12 @@ def tailed_layers(draw, cols=None, tail=None):
         bias[rows - extend:] = draw(st.sampled_from([0.0, -0.0]))
         if draw(st.booleans()):
             block[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] = draw(TAIL_VALUES)
-    return _beside_identity(block, bias, tail, draw(st.sampled_from(["relu", "identity", "sigmoid"])))
+    return block, bias, tail, draw(st.sampled_from(["relu", "identity", "sigmoid"]))
+
+
+def tailed_layers(cols=None, tail=None):
+    """A layer ``_beside_identity`` builds from ``tailed_parts``."""
+    return tailed_parts(cols, tail).map(lambda parts: _beside_identity(*parts))
 
 
 @pytest.fixture

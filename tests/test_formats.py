@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,10 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import tailed_layers
 from test_network import reference_passthrough_width
+from dfanet import formats
 from dfanet.automata import make_mod_counter_dfa, make_parity_dfa, random_dfa
 from dfanet.cli import COMPILE_TARGETS, main
 from dfanet.compiler import (
     build_binary_threshold_network,
+    build_compressed_embedding,
+    build_embedding_head,
     build_transition_layer,
     build_unrolled_acceptor,
 )
@@ -27,7 +31,7 @@ from dfanet.formats import (
     parse_dfa_document,
     parse_network_document,
 )
-from dfanet.network import LayerSpec, NetworkSpec, forward_batch
+from dfanet.network import LayerSpec, NetworkSpec, _beside_identity, forward_batch
 from dfanet.nn import TrainableMlp, UnrolledNet
 
 PARITY_TEXT = """\
@@ -402,6 +406,92 @@ def test_padded_or_interleaved_weights_rows_read_plainly(net, respell):
     for a, b in zip(loaded.layers, parse_network_document(text).layers, strict=True):
         assert (a.activation, a.passthrough_width) == (b.activation, b.passthrough_width)
         assert a.weights.tobytes() == b.weights.tobytes() and a.bias.tobytes() == b.bias.tobytes()
+
+
+@pytest.mark.parametrize("target", ["unrolled", "embedding", "compressed"])
+def test_writing_and_reading_a_document_does_no_more_work_at_a_greater_length(target, monkeypatch):
+    """Every transition module of an acceptor holds the same blocks, so each is rendered and tokenized once.
+
+    The calls are counted, not timed: at T=40 a document has eight times the
+    modules of one at T=5, and the same count of ``_format_rows`` and
+    ``np.loadtxt`` calls.
+    """
+    dfa = make_mod_counter_dfa(5)
+    projection, _ = build_compressed_embedding(dfa, epsilon=0.1, seed=0)
+    builders = {"unrolled": build_unrolled_acceptor, "embedding": build_embedding_head,
+                "compressed": lambda dfa, length: build_embedding_head(dfa, length, head=projection)}
+    calls = Counter()
+
+    def counted(name, call):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return call(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(formats, "_format_rows", counted("render", formats._format_rows))
+    monkeypatch.setattr(np, "loadtxt", counted("tokenize", np.loadtxt))
+    counts = []
+    for length in (5, 40):
+        net = builders[target](dfa, length)
+        calls.clear()
+        loaded = parse_network_document(format_network_document(net))
+        assert all(a.weights.tobytes() == b.weights.tobytes() for a, b in zip(loaded.layers, net.layers, strict=True))
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] and counts[0]["render"] and counts[0]["tokenize"]
+
+
+def read_alone(layer):
+    """``layer`` written and read back in a document of its own, so that it shares no block with another layer."""
+    net = NetworkSpec(layers=(layer,), input_dim=layer.input_dim, output_dim=layer.output_dim)
+    return parse_network_document(format_network_document(net)).layers[0]
+
+
+VALUES = np.arange(6.0) + 0.5
+NEGATIVE_ZEROS, ZEROS = np.array([[0.0, 1.0], [2.0, -0.0]]), np.array([[-0.0, 1.0], [2.0, 0.0]])
+SHARING_LAYERS = {  # chains whose blocks or biases share bytes or text without being equal
+    "equal bytes, other shapes": [
+        LayerSpec(weights=VALUES.reshape(3, 2), bias=VALUES[:3], activation="relu"),
+        LayerSpec(weights=VALUES.reshape(2, 3), bias=VALUES[:2], activation="relu"),
+        _beside_identity(VALUES.reshape(6, 1), VALUES, 1, "relu"),
+        _beside_identity(VALUES.reshape(2, 3), VALUES[:2], 4, "relu"),
+        _beside_identity(VALUES.reshape(3, 2), VALUES[:3], 4, "identity"),
+    ],
+    "no rows or no columns, other tails": [
+        _beside_identity(np.zeros((2, 0)), np.array([1.0, 2.0]), 3, "relu"),
+        _beside_identity(np.zeros((0, 2)), np.zeros(0), 3, "relu"),
+        _beside_identity(np.zeros((0, 1)), np.zeros(0), 2, "identity"),
+        _beside_identity(np.zeros((1, 0)), np.array([1.0]), 2, "identity"),
+        _beside_identity(np.zeros((0, 0)), np.zeros(0), 3, "relu"),
+        _beside_identity(np.zeros((2, 0)), np.array([1.0, 2.0]), 3, "relu"),
+        _beside_identity(np.zeros((0, 3)), np.zeros(0), 2, "relu"),
+        LayerSpec(weights=np.zeros((0, 2)), bias=np.zeros(0), activation="relu"),
+        LayerSpec(weights=np.zeros((1, 0)), bias=np.ones(1), activation="identity"),
+    ],
+    "a zero's sign": [
+        _beside_identity(NEGATIVE_ZEROS, np.array([0.0, -0.0]), 1, "relu"),
+        _beside_identity(ZEROS, np.array([-0.0, 0.0]), 1, "relu"),
+        _beside_identity(NEGATIVE_ZEROS, np.array([0.0, -0.0]), 1, "relu"),
+        LayerSpec(weights=np.array([[0.0, -0.0, 1.0]] * 3), bias=np.array([-0.0, 0.0, 0.0]), activation="relu"),
+        LayerSpec(weights=np.array([[-0.0, 0.0, 1.0]] * 3), bias=np.array([0.0, -0.0, 0.0]), activation="relu"),
+        _beside_identity(np.zeros((1, 0)), np.array([-0.0]), 3, "identity"),
+        _beside_identity(np.zeros((0, 1)), np.zeros(0), 3, "identity"),
+        _beside_identity(np.zeros((1, 0)), np.array([0.0]), 3, "identity"),
+    ],
+}
+
+
+@pytest.mark.parametrize("layers", SHARING_LAYERS.values(), ids=SHARING_LAYERS)
+def test_layers_that_share_bytes_or_text_are_each_read_as_alone(layers):
+    """Blocks are rendered and tokenized once per document, keyed so that none of these is taken for another."""
+    net = NetworkSpec(layers=tuple(layers), input_dim=layers[0].input_dim, output_dim=layers[-1].output_dim)
+    text = format_network_document(net)
+    assert text == reference_network_document(net)
+    for a, b in zip(parse_network_document(text).layers, net.layers, strict=True):
+        alone = read_alone(b)
+        assert a.weights.shape == b.weights.shape == alone.weights.shape
+        assert a.weights.tobytes() == b.weights.tobytes() == alone.weights.tobytes()
+        assert a.bias.tobytes() == b.bias.tobytes() == alone.bias.tobytes()
+        assert a._tail == alone._tail
 
 
 def test_network_parse_rejects_bad_header():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dfas, scaled_acceptor, tailed_layers
+from conftest import dfas, scaled_acceptor, tailed_layers, tailed_parts
 from dfanet import network
 from dfanet.automata import accepts_batch, all_strings, make_mod_counter_dfa, make_parity_dfa
 from dfanet.compiler import (
@@ -223,6 +223,41 @@ def test_a_known_tail_gives_the_width_of_the_whole_scan(layer):
     assert plain._tail == 0 and plain.passthrough_width == layer.passthrough_width
     if layer.activation != "sigmoid":
         assert layer.passthrough_width >= layer._tail
+
+
+def dense_beside_identity(block, bias, tail, activation):
+    """The layer built the plain way: a zero matrix, the block, ``fill_diagonal``, and the public constructor."""
+    rows, cols = block.shape
+    weights = np.zeros((rows + tail, cols + tail))
+    weights[:rows, :cols] = block
+    np.fill_diagonal(weights[rows:, cols:], 1.0)
+    return LayerSpec(weights=weights, bias=np.concatenate([bias, np.zeros(tail)]), activation=activation)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tailed_parts())
+def test_a_layer_beside_an_identity_is_the_plain_construction_and_owns_its_arrays(parts):
+    block, bias, tail, activation = parts
+    layer, plain = network._beside_identity(block, bias, tail, activation), dense_beside_identity(*parts)
+    assert (layer.activation, layer.thresholds, layer.strict, layer._tail) == (activation, None, False, tail)
+    assert layer.weights.tobytes() == plain.weights.tobytes() and layer.weights.shape == plain.weights.shape
+    assert layer.bias.tobytes() == plain.bias.tobytes()
+    assert not layer.weights.flags.writeable and not layer.bias.flags.writeable
+    written = layer.weights.tobytes(), layer.bias.tobytes()
+    block[...] = 7.0
+    bias[...] = 7.0
+    assert (layer.weights.tobytes(), layer.bias.tobytes()) == written
+
+
+@pytest.mark.parametrize("bias_length,activation", [(1, "relu"), (3, "relu"), (5, "identity"), (2, "tanh"), (2, "step")])
+def test_a_layer_beside_an_identity_is_refused_as_the_constructor_refuses_it(bias_length, activation):
+    """A bias of the whole layer's length (3 here) is as wrong as any other: it is the block's that is passed."""
+    block, bias = np.ones((2, 4)), np.zeros(bias_length)
+    with pytest.raises(ValueError) as plain:
+        dense_beside_identity(block, bias, 1, activation)
+    with pytest.raises(ValueError) as built:
+        network._beside_identity(block, bias, 1, activation)
+    assert str(built.value) == str(plain.value)
 
 
 @pytest.mark.parametrize("source", ["built", "parsed"])
